@@ -33,10 +33,11 @@ test-cover:
 # Cluster test: in-process backends exercising the control plane end to end
 # — dispatch parity and resume, priority scheduling and starvation
 # resistance, dynamic join/drain mid-sweep, affinity routing, the HTTP
-# control plane, and tenant admission with client 429 backoff (see
+# control plane's sweep contract driven through server.Client, and tenant
+# admission with client 429 backoff (see
 # internal/dispatch, internal/cluster, DESIGN.md §12).
 cluster-test:
-	$(GO) test -v -run 'TestClusterParity|TestResumeSkipsCompletedCells|TestPrioritySchedulingResistsStarvation|TestJoinAndDrainMidSweepLosesNoCells|TestDynamicPoolWaitsForFirstBackend|TestAffinityRoutingBeatsRandom|TestCoordinatorAdmission|TestControlPlaneLifecycle' ./internal/dispatch/
+	$(GO) test -v -run 'TestClusterParity|TestResumeSkipsCompletedCells|TestPrioritySchedulingResistsStarvation|TestJoinAndDrainMidSweepLosesNoCells|TestDynamicPoolWaitsForFirstBackend|TestAffinityRoutingBeatsRandom|TestCoordinatorAdmission|TestControlPlaneLifecycle|TestControlPlaneRejectsBadSubmissions|TestControlPlaneFailedSweep' ./internal/dispatch/
 	$(GO) test -v -run 'TestTenantAdmission|TestClientBacksOffOn429' ./internal/server/
 
 # Cluster smoke test: real processes — a visasimcoord with zero static

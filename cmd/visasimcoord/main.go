@@ -11,6 +11,10 @@
 // routing never change results — the simulator is deterministic, so a sweep
 // dispatched through any policy is byte-identical to a local harness run.
 //
+// Sweeps use the daemon's own contract — POST /v1/sweeps answers 202 with a
+// job ID, GET /v1/jobs/{id} polls it — so server.Client (and `visasimctl
+// sweep -coord`) drives a coordinator and a single visasimd alike.
+//
 // Endpoints (see dispatch.Coordinator.Control):
 //
 //	GET  /healthz                 liveness
@@ -19,15 +23,14 @@
 //	POST /v1/backends/deregister  {"url": ...} leave immediately
 //	POST /v1/backends/drain       {"url": ...} finish in-flight work, then leave
 //	GET  /v1/tenants              tenant quotas and usage (with -tenants)
-//	POST /v1/dispatch             run a sweep through the scheduler
+//	POST /v1/sweeps               submit a sweep to the scheduler
+//	GET  /v1/jobs/{id}            poll a submitted sweep
 //	GET  /metrics, /metrics/prom  coordinator metrics (expvar JSON / Prometheus)
 //
-// With -tenants FILE every dispatch must carry a known X-Visasim-Key; rate
-// or quota rejections answer 429 with Retry-After hints. -scheduler picks
-// the queue discipline (priority, sjf, fcfs) — sjf costs cells through the
-// analytical twin. With -autoscale-max N the coordinator runs an autoscaler
-// that spawns local visasimd processes (-visasimd-bin) when the queue
-// backs up and drains them away after a sustained idle period.
+// With -tenants FILE every submission must carry a known X-Visasim-Key;
+// rate or quota rejections answer 429 with Retry-After hints before the
+// sweep is accepted. -scheduler picks the queue discipline (priority, sjf,
+// fcfs) — sjf costs cells through the analytical twin.
 //
 // Quickstart:
 //
@@ -40,12 +43,12 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -70,14 +73,6 @@ func main() {
 		seed        = flag.Int64("seed", 0, "backoff-jitter RNG seed (0 = from the clock)")
 		logLevel    = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		logFormat   = flag.String("log-format", "text", "log line format: text or json")
-
-		asMin   = flag.Int("autoscale-min", 1, "autoscaler: minimum backend count")
-		asMax   = flag.Int("autoscale-max", 0, "autoscaler: maximum backend count (0 disables autoscaling)")
-		asDepth = flag.Int("autoscale-depth", 4, "autoscaler: queue depth that triggers a scale-up")
-		asIdle  = flag.Duration("autoscale-idle", 30*time.Second, "autoscaler: idle period before a scale-down")
-		asTick  = flag.Duration("autoscale-interval", time.Second, "autoscaler: control-loop sampling interval")
-		simBin  = flag.String("visasimd-bin", "visasimd", "visasimd binary the autoscaler spawns (resolved via PATH)")
-		simArgs = flag.String("visasimd-args", "", "extra space-separated flags for spawned visasimd processes")
 	)
 	flag.Parse()
 
@@ -138,31 +133,7 @@ func main() {
 		os.Exit(1)
 	}
 	defer coord.Close()
-	expvar.Publish("visasimcoord", coord.MetricsVar())
-
-	var scaler *cluster.Autoscaler
-	var pool *localPool
-	if *asMax > 0 {
-		pool = newLocalPool(coord, *simBin, splitSpace(*simArgs), logger)
-		defer pool.StopAll()
-		scaler = cluster.NewAutoscaler(coord, pool, cluster.AutoscalerOptions{
-			Min:           *asMin,
-			Max:           *asMax,
-			ScaleUpDepth:  *asDepth,
-			ScaleDownIdle: *asIdle,
-			Interval:      *asTick,
-			Logger:        logger,
-		})
-		scaler.Start()
-		defer scaler.Close()
-		logger.Info("autoscaler on", "min", *asMin, "max", *asMax,
-			"scale_up_depth", *asDepth, "scale_down_idle", *asIdle, "bin", *simBin)
-	}
-
-	mux := http.NewServeMux()
-	mux.Handle("/", coord.Control())
-	mux.Handle("GET /debug/vars", expvar.Handler())
-	httpSrv := &http.Server{Addr: *addr, Handler: mux}
+	httpSrv := &http.Server{Addr: *addr, Handler: coord.Control()}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -185,4 +156,15 @@ func main() {
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.Canceled) {
 		logger.Warn("http shutdown", "err", err)
 	}
+}
+
+// splitCSV splits a comma-separated flag into trimmed, non-empty parts.
+func splitCSV(csv string) []string {
+	var out []string
+	for _, part := range strings.Split(csv, ",") {
+		if part = strings.TrimSpace(part); part != "" {
+			out = append(out, part)
+		}
+	}
+	return out
 }

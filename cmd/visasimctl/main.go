@@ -1,18 +1,23 @@
 // Command visasimctl operates a visasimd cluster from the shell: probe
-// backend health, dump their metrics, or dispatch a sweep across all of
-// them through the coordinator (internal/dispatch) — with the same
-// retry/failover/hedging and checkpointed-resume behaviour the experiments
-// binary gets via -backends. Against a visasimcoord control plane it also
-// lists tenants and pool membership, drains backends gracefully, and
-// submits sweeps with a tenant API key and priority class (sweep -coord);
-// sweep -local runs the same cells in-process, and because the simulator is
-// deterministic the two outputs diff byte-identically with -results-only.
+// backend health, dump their metrics, or run a sweep. Against a
+// visasimcoord control plane it also lists tenants and pool membership and
+// drains backends gracefully.
+//
+// sweep has one code path and three runners with one output shape:
+// -local runs the cells in-process through the harness; -backends runs the
+// coordinator (internal/dispatch) in-process over a static pool, with the
+// same retry/failover/hedging and checkpointed-resume behaviour the
+// experiments binary gets via -backends; -coord submits through
+// server.Client to a visasimcoord or a single visasimd, which serve the
+// same POST /v1/sweeps contract, with the tenant API key and priority
+// class as headers. The simulator is deterministic, so the outputs of all
+// three diff byte-identically with -results-only.
 //
 // Usage:
 //
 //	visasimctl health  -backends URL,URL,...
 //	visasimctl metrics -backends URL,URL,... [-prom]
-//	visasimctl sweep   (-backends URL,... | -coord URL | -local) [-cells FILE]
+//	visasimctl sweep   (-local | -backends URL,... | -coord URL) [-cells FILE]
 //	                   [-key API_KEY] [-priority CLASS] [-results-only]
 //	                   [-store DIR] [-resume] [-hedge 2s] [-workers N]
 //	                   [-timeout 10m] [-log-level info] [-log-format text] [-seed N]
@@ -41,13 +46,11 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -233,18 +236,19 @@ func mustJSON(v any) json.RawMessage {
 	return blob
 }
 
-// cmdSweep runs one sweep and prints keyed results on stdout. Three modes
-// share one output shape, so results can be diffed byte for byte — the
-// simulator is deterministic, so they must match:
+// cmdSweep runs one sweep and prints keyed results on stdout. Three
+// runners share one output shape, so results can be diffed byte for byte —
+// the simulator is deterministic, so they must match:
 //
-//   - -backends runs the in-process coordinator over a static pool
-//   - -coord posts the sweep to a visasimcoord control plane (tenant key
-//     and priority class travel as headers)
 //   - -local runs the cells through internal/harness in this process
+//   - -backends runs the in-process coordinator over a static pool
+//   - -coord submits to a visasimcoord control plane or a single visasimd
+//     through server.Client (both serve POST /v1/sweeps; the tenant key
+//     and priority class travel as headers)
 func cmdSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	backendsCSV := fs.String("backends", "", "comma-separated visasimd base URLs")
-	coordURL := fs.String("coord", "", "visasimcoord base URL to dispatch through (instead of -backends)")
+	coordURL := fs.String("coord", "", "visasimcoord (or visasimd) base URL to submit to (instead of -backends)")
 	local := fs.Bool("local", false, "run the cells locally through the harness (no cluster)")
 	apiKey := fs.String("key", "", "tenant API key (X-Visasim-Key) for admission-controlled clusters")
 	priority := fs.String("priority", "", "priority class: interactive, standard, or bulk")
@@ -271,8 +275,8 @@ func cmdSweep(args []string) error {
 	}
 
 	// SIGINT/SIGTERM cancel the sweep: queued groups are skipped and every
-	// in-flight dispatch attempt is aborted, instead of the old behaviour
-	// of polling the cluster to completion after the operator gave up.
+	// in-flight dispatch attempt is aborted, instead of polling the cluster
+	// to completion after the operator gave up.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if *priority != "" {
@@ -286,20 +290,57 @@ func cmdSweep(args []string) error {
 		ctx = cluster.WithAPIKey(ctx, *apiKey)
 	}
 
-	var results map[string]json.RawMessage
-	var stats harness.Stats
+	var run func(context.Context, []harness.Cell, harness.Options) (harness.Results, harness.Stats, error)
+	var coord *dispatch.Coordinator
 	switch {
 	case *local:
-		results, stats, err = sweepLocal(cells, *workers)
+		run = func(_ context.Context, cells []harness.Cell, opt harness.Options) (harness.Results, harness.Stats, error) {
+			return harness.RunStats(cells, opt)
+		}
 	case *coordURL != "":
-		results, stats, err = sweepViaCoord(ctx, *coordURL, cells, *apiKey, *priority)
+		cli := &server.Client{BaseURL: strings.TrimRight(*coordURL, "/"), APIKey: *apiKey, Logger: logger}
+		run = cli.RunStatsContext
 	default:
-		results, stats, err = sweepViaBackends(ctx, cells, sweepDispatchOptions{
-			backendsCSV: *backendsCSV, storeDir: *storeDir, resume: *resume,
-			hedge: *hedge, workers: *workers, cellTimeout: *cellTimeout,
-			seed: *seed, verbose: *verbose, logger: logger,
+		urls, err := backendList(*backendsCSV)
+		if err != nil {
+			return err
+		}
+		var st *store.Store
+		if *storeDir != "" {
+			if st, err = store.Open(*storeDir, store.Options{}); err != nil {
+				return err
+			}
+		} else if *resume {
+			return fmt.Errorf("-resume needs -store")
+		}
+		coord, err = dispatch.New(dispatch.Options{
+			Backends:    urls,
+			HedgeAfter:  *hedge,
+			Workers:     *workers,
+			CellTimeout: *cellTimeout,
+			Store:       st,
+			Resume:      *resume,
+			Seed:        *seed,
+			Logger:      logger,
 		})
+		if err != nil {
+			return err
+		}
+		defer coord.Close()
+		run = coord.RunStatsContext
 	}
+
+	start := time.Now()
+	results, stats, err := run(ctx, cells, harness.Options{Workers: *workers})
+	if *verbose && coord != nil {
+		fmt.Fprintf(os.Stderr, "visasimctl: %d cells in %v\n",
+			len(cells), time.Since(start).Round(time.Millisecond))
+		coord.WritePrometheus(os.Stderr)
+	}
+	if err != nil {
+		return err
+	}
+	raw, err := rawResults(cells, results)
 	if err != nil {
 		return err
 	}
@@ -313,7 +354,7 @@ func cmdSweep(args []string) error {
 		Cells []outCell `json:"cells"`
 	}{Cells: make([]outCell, 0, len(cells))}
 	for _, c := range cells { // submission order, not map order
-		oc := outCell{Key: c.Key, Result: results[c.Key]}
+		oc := outCell{Key: c.Key, Result: raw[c.Key]}
 		if !*resultsOnly {
 			st := stats[c.Key]
 			oc.Stats = &st
@@ -337,125 +378,6 @@ func rawResults(cells []harness.Cell, res harness.Results) (map[string]json.RawM
 		out[c.Key] = blob
 	}
 	return out, nil
-}
-
-// sweepLocal runs the cells in-process — the ground truth the cluster modes
-// must match byte for byte.
-func sweepLocal(cells []harness.Cell, workers int) (map[string]json.RawMessage, harness.Stats, error) {
-	res, stats, err := harness.RunStats(cells, harness.Options{Workers: workers})
-	if err != nil {
-		return nil, nil, err
-	}
-	raw, err := rawResults(cells, res)
-	return raw, stats, err
-}
-
-// sweepDispatchOptions carries the static-pool mode's flags.
-type sweepDispatchOptions struct {
-	backendsCSV string
-	storeDir    string
-	resume      bool
-	hedge       time.Duration
-	workers     int
-	cellTimeout time.Duration
-	seed        int64
-	verbose     bool
-	logger      *slog.Logger
-}
-
-// sweepViaBackends runs the in-process coordinator over a static pool.
-func sweepViaBackends(ctx context.Context, cells []harness.Cell, o sweepDispatchOptions) (map[string]json.RawMessage, harness.Stats, error) {
-	urls, err := backendList(o.backendsCSV)
-	if err != nil {
-		return nil, nil, err
-	}
-	var st *store.Store
-	if o.storeDir != "" {
-		if st, err = store.Open(o.storeDir, store.Options{}); err != nil {
-			return nil, nil, err
-		}
-	} else if o.resume {
-		return nil, nil, fmt.Errorf("-resume needs -store")
-	}
-	coord, err := dispatch.New(dispatch.Options{
-		Backends:    urls,
-		HedgeAfter:  o.hedge,
-		Workers:     o.workers,
-		CellTimeout: o.cellTimeout,
-		Store:       st,
-		Resume:      o.resume,
-		Seed:        o.seed,
-		Logger:      o.logger,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	defer coord.Close()
-
-	start := time.Now()
-	results, stats, err := coord.RunStatsContext(ctx, cells, harness.Options{})
-	if o.verbose {
-		fmt.Fprintf(os.Stderr, "visasimctl: %d cells in %v\n",
-			len(cells), time.Since(start).Round(time.Millisecond))
-		coord.WritePrometheus(os.Stderr)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	raw, err := rawResults(cells, results)
-	return raw, stats, err
-}
-
-// sweepViaCoord posts the whole sweep to a visasimcoord control plane and
-// lets its scheduler run it.
-func sweepViaCoord(ctx context.Context, coordURL string, cells []harness.Cell, apiKey, priority string) (map[string]json.RawMessage, harness.Stats, error) {
-	req := server.SubmitRequest{Cells: make([]server.SubmitCell, len(cells))}
-	for i, c := range cells {
-		req.Cells[i] = server.SubmitCell{Key: c.Key, Config: c.Cfg}
-	}
-	blob, err := json.Marshal(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	target := strings.TrimRight(coordURL, "/") + "/v1/dispatch"
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, target, strings.NewReader(string(blob)))
-	if err != nil {
-		return nil, nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	if apiKey != "" {
-		hreq.Header.Set(cluster.KeyHeader, apiKey)
-	}
-	if priority != "" {
-		hreq.Header.Set(cluster.ClassHeader, priority)
-	}
-	resp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		return nil, nil, fmt.Errorf("coordinator answered HTTP %d: %s",
-			resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-	var dr dispatch.DispatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&dr); err != nil {
-		return nil, nil, fmt.Errorf("decoding dispatch response: %w", err)
-	}
-	results := make(map[string]json.RawMessage, len(dr.Cells))
-	stats := make(harness.Stats, len(dr.Cells))
-	for _, c := range dr.Cells {
-		// The control plane indents its response; re-compact so the result
-		// bytes are identical to a local json.Marshal of the same Result.
-		var compact bytes.Buffer
-		if err := json.Compact(&compact, c.Result); err != nil {
-			return nil, nil, fmt.Errorf("cell %s: %w", c.Key, err)
-		}
-		results[c.Key] = compact.Bytes()
-		stats[c.Key] = c.Stats
-	}
-	return results, stats, nil
 }
 
 // readCells decodes a sweep request in the daemon's submit shape.

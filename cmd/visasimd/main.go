@@ -47,7 +47,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"net/http"
@@ -120,15 +119,7 @@ func main() {
 		Tenants:      reg,
 		Logger:       logger,
 	})
-	// One daemon per process, so publishing to the global expvar registry
-	// is safe here (the server library itself never does), and the metrics
-	// also appear under /debug/vars alongside Go runtime stats.
-	expvar.Publish("visasimd", srv.MetricsVar())
-
-	mux := http.NewServeMux()
-	mux.Handle("/", srv.Handler())
-	mux.Handle("GET /debug/vars", expvar.Handler())
-	httpSrv := &http.Server{Addr: *addr, Handler: mux}
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -1,8 +1,8 @@
 // Package cluster holds the control-plane primitives the sweep service is
 // built from: tenancy and token-bucket admission control, SLO priority
 // classes with a priority-/SJF-ordered scheduling queue, rendezvous-hash
-// cache-affinity routing, a Jain fairness index, an analytical-twin cost
-// estimator for shortest-job-first ordering, and a queue-depth autoscaler.
+// cache-affinity routing, a Jain fairness index, and an analytical-twin
+// cost estimator for shortest-job-first ordering.
 //
 // The package is deliberately mechanism, not policy wiring: internal/server
 // uses the tenant registry and admission controller to gate visasimd
@@ -22,11 +22,12 @@ import (
 
 // HTTP headers the control plane speaks across process boundaries.
 const (
-	// KeyHeader carries a tenant's API key on submissions (visasimd's
-	// POST /v1/sweeps, the coordinator's POST /v1/dispatch).
+	// KeyHeader carries a tenant's API key on POST /v1/sweeps, which
+	// visasimd and the coordinator both serve.
 	KeyHeader = "X-Visasim-Key"
 	// ClassHeader carries the requested priority class name
-	// ("interactive", "standard", "bulk") on coordinator submissions.
+	// ("interactive", "standard", "bulk") on submissions; the
+	// coordinator schedules by it and visasimd ignores it.
 	ClassHeader = "X-Visasim-Priority"
 	// RetryAfterMsHeader carries the admission controller's retry hint in
 	// milliseconds alongside the standard (integer-second) Retry-After

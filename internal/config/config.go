@@ -11,6 +11,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+
+	"visasim/internal/isa"
 )
 
 // CacheConfig describes one set-associative cache.
@@ -275,6 +277,29 @@ func (m Machine) Canonical() Machine {
 	return m
 }
 
+// CompletionWheelSize is the capacity, in cycles, of the pipeline's
+// completion wheel: an issued uop's completion delta must stay strictly
+// below it. internal/pipeline sizes the wheel from this constant, and
+// Validate rejects every machine whose WorstCompletionDelta does not fit.
+const CompletionWheelSize = 1024
+
+// MaxProtectionWakeup bounds the wakeup-latency adder of every issue-queue
+// protection mode; internal/iqorg's cost table is tested against it.
+const MaxProtectionWakeup = 1
+
+// WorstCompletionDelta is the largest completion delta an issued uop can
+// carry on m: the worst data access (DTLB miss, then L1D and L2 misses to
+// memory) plus the slowest functional unit and the largest protection
+// wakeup adder.
+func (m Machine) WorstCompletionDelta() int {
+	maxFU := 0
+	for k := isa.Kind(0); k < isa.Kind(isa.NumKinds); k++ {
+		maxFU = max(maxFU, k.Latency())
+	}
+	return m.DTLB.MissPenalty + m.L1D.HitLatency + m.L2.HitLatency + m.MemoryLatency +
+		maxFU + MaxProtectionWakeup
+}
+
 // Validate reports an error for inconsistent configurations.
 func (m Machine) Validate() error {
 	switch {
@@ -344,6 +369,10 @@ func (m Machine) Validate() error {
 		if err := t.Validate(); err != nil {
 			return err
 		}
+	}
+	if d := m.WorstCompletionDelta(); d >= CompletionWheelSize {
+		return fmt.Errorf("config: worst-case completion delta %d cycles (DTLB miss + L1D + L2 + memory + FU + wakeup) does not fit the %d-cycle completion wheel",
+			d, CompletionWheelSize)
 	}
 	return nil
 }

@@ -35,6 +35,7 @@ func TestParseRejects(t *testing.T) {
 		`{"IQSize": 96}{"IQSize": 32}`,  // trailing document
 		`{"Branch": {"BTBAssoc": 0}}`,   // division hazard
 		`{"Branch": {"RASEntries": 0}}`, // modulo hazard
+		`{"MemoryLatency": 2000}`,       // completion delta outside the wheel
 		`not json`,
 	} {
 		if _, err := Parse([]byte(bad)); err == nil {

@@ -5,9 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
-	"sort"
-	"strconv"
 	"time"
 
 	"visasim/internal/cluster"
@@ -20,21 +19,17 @@ import (
 // cluster binaries speak. Backends register and deregister themselves here
 // (dynamic membership: `visasimd -register`), operators drain them
 // (`visasimctl drain`), and clients submit whole sweeps through the
-// scheduler with tenant and priority headers (POST /v1/dispatch) instead
-// of linking the coordinator in-process.
+// scheduler with the daemon's own contract — POST /v1/sweeps, then poll
+// GET /v1/jobs/{id} — so one server.Client drives either process.
 
 // registerRequest is the body of the membership POSTs.
 type registerRequest struct {
 	URL string `json:"url"`
 }
 
-// DispatchResponse is the body of a successful POST /v1/dispatch: every
-// cell's result, keyed and key-sorted. Cells carry exactly the daemon's
-// CellStatus shape so existing decoders work against either endpoint.
-type DispatchResponse struct {
-	Sweep string              `json:"sweep"`
-	Cells []server.CellStatus `json:"cells"`
-}
+// jobHistory bounds how many resolved sweeps the control plane keeps for
+// polling; older ones are evicted oldest-first and their IDs answer 404.
+const jobHistory = 256
 
 // Control returns the coordinator's control-plane handler:
 //
@@ -44,7 +39,8 @@ type DispatchResponse struct {
 //	POST /v1/backends/deregister  {"url": ...} leave immediately
 //	POST /v1/backends/drain       {"url": ...} drain gracefully, then leave
 //	GET  /v1/tenants              tenant quotas and usage (admission mode)
-//	POST /v1/dispatch             run a sweep synchronously through the scheduler
+//	POST /v1/sweeps               submit a sweep to the scheduler (202)
+//	GET  /v1/jobs/{id}            poll a submitted sweep
 //	GET  /metrics                 coordinator counters as JSON (expvar shape)
 //	GET  /metrics/prom            Prometheus text exposition
 func (c *Coordinator) Control() http.Handler {
@@ -58,7 +54,7 @@ func (c *Coordinator) Control() http.Handler {
 			httpErr(w, http.StatusMethodNotAllowed, "GET only")
 			return
 		}
-		writeJSON(w, c.Members())
+		writeJSON(w, http.StatusOK, c.Members())
 	})
 	mux.HandleFunc("/v1/backends/register", c.membershipHandler(func(ctx context.Context, url string) error {
 		if err := c.handshake(ctx, url); err != nil {
@@ -76,12 +72,13 @@ func (c *Coordinator) Control() http.Handler {
 			return
 		}
 		if c.opt.Admission == nil {
-			writeJSON(w, []cluster.TenantStatus{})
+			writeJSON(w, http.StatusOK, []cluster.TenantStatus{})
 			return
 		}
-		writeJSON(w, c.opt.Admission.Snapshot())
+		writeJSON(w, http.StatusOK, c.opt.Admission.Snapshot())
 	})
-	mux.HandleFunc("/v1/dispatch", c.handleDispatch)
+	mux.HandleFunc("POST /v1/sweeps", c.handleSubmit)
+	mux.HandleFunc("GET /v1/jobs/{id}", c.handleJob)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintln(w, c.met.root.String())
@@ -123,57 +120,42 @@ func (c *Coordinator) membershipHandler(op func(ctx context.Context, url string)
 			httpErr(w, status, err.Error())
 			return
 		}
-		writeJSON(w, c.Members())
+		writeJSON(w, http.StatusOK, c.Members())
 	}
 }
 
-// handleDispatch runs a whole sweep synchronously through the scheduler:
-// the daemon's SubmitRequest body, the tenant key in cluster.KeyHeader,
-// the priority class in cluster.ClassHeader, the sweep correlation ID in
-// obs.SweepHeader. Admission rejections return 401 (unknown key) or 429
-// with Retry-After and cluster.RetryAfterMsHeader hints.
-func (c *Coordinator) handleDispatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpErr(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
+// handleSubmit accepts a sweep in the daemon's SubmitRequest shape: the
+// tenant key in cluster.KeyHeader, the priority class in
+// cluster.ClassHeader, the sweep correlation ID in obs.SweepHeader.
+// Admission is decided before the 202, so an unknown key answers 401 and a
+// throttled tenant 429 with Retry-After and cluster.RetryAfterMsHeader
+// hints. The sweep then runs through the scheduler exactly like
+// RunStatsContext and is polled on GET /v1/jobs/{id}.
+func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req server.SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpErr(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-		return
-	}
-	if len(req.Cells) == 0 {
-		httpErr(w, http.StatusBadRequest, "no cells")
+	dec := json.NewDecoder(io.LimitReader(r.Body, 16<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		httpErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	if req.TraceLevel > 0 {
 		httpErr(w, http.StatusBadRequest, "tracing is per-daemon; submit traced sweeps to a backend directly")
 		return
 	}
-	cells := make([]harness.Cell, len(req.Cells))
-	for i, sc := range req.Cells {
-		key := sc.Key
-		if key == "" {
-			canon, err := sc.Config.Canonical()
-			if err != nil {
-				httpErr(w, http.StatusBadRequest, fmt.Sprintf("cell %d: %v", i, err))
-				return
-			}
-			if key, err = canon.Hash(); err != nil {
-				httpErr(w, http.StatusBadRequest, fmt.Sprintf("cell %d: %v", i, err))
-				return
-			}
-		}
-		cells[i] = harness.Cell{Key: key, Cfg: sc.Config}
+	cells, hashes, err := req.Resolve()
+	if err != nil {
+		httpErr(w, http.StatusBadRequest, err.Error())
+		return
 	}
 
-	ctx := r.Context()
-	if sweep := r.Header.Get(obs.SweepHeader); obs.ValidSweepID(sweep) {
-		ctx = obs.WithSweep(ctx, sweep)
+	// The sweep outlives the request, so it runs under a fresh context
+	// carrying only the request's scheduling identity.
+	sweep := r.Header.Get(obs.SweepHeader)
+	if !obs.ValidSweepID(sweep) {
+		sweep = obs.NewSweepID()
 	}
-	if key := r.Header.Get(cluster.KeyHeader); key != "" {
-		ctx = cluster.WithAPIKey(ctx, key)
-	}
+	ctx := cluster.WithAPIKey(obs.WithSweep(context.Background(), sweep), r.Header.Get(cluster.KeyHeader))
 	if name := r.Header.Get(cluster.ClassHeader); name != "" {
 		class, err := cluster.ParseClass(name)
 		if err != nil {
@@ -182,66 +164,103 @@ func (c *Coordinator) handleDispatch(w http.ResponseWriter, r *http.Request) {
 		}
 		ctx = cluster.WithClass(ctx, class)
 	}
-	ctx, sweep := obs.EnsureSweep(ctx)
-
-	results, stats, err := c.RunStatsContext(ctx, cells, harness.Options{})
+	t, err := c.admit(ctx, len(cells))
 	if err != nil {
-		dispatchErr(w, err)
+		server.WriteAdmissionError(w, err)
 		return
 	}
-	resp := DispatchResponse{Sweep: sweep, Cells: make([]server.CellStatus, 0, len(cells))}
-	for _, cell := range cells {
-		res := results[cell.Key]
-		blob, merr := json.Marshal(res)
-		if merr != nil {
-			httpErr(w, http.StatusInternalServerError, "encoding result: "+merr.Error())
-			return
-		}
-		resp.Cells = append(resp.Cells, server.CellStatus{
-			Key:    cell.Key,
-			Done:   true,
-			Result: blob,
-			Stats:  stats[cell.Key],
-		})
+
+	j := &server.JobStatus{State: server.StateRunning, Cells: make([]server.CellStatus, len(cells))}
+	for i, cell := range cells {
+		j.Cells[i] = server.CellStatus{Key: cell.Key, Hash: hashes[i]}
 	}
-	sort.Slice(resp.Cells, func(i, j int) bool { return resp.Cells[i].Key < resp.Cells[j].Key })
-	writeJSON(w, resp)
+	c.jmu.Lock()
+	c.jseq++
+	j.ID = fmt.Sprintf("job-%d", c.jseq)
+	c.jobs[j.ID] = j
+	c.jmu.Unlock()
+	c.log.Info("sweep accepted", "sweep", sweep, "job", j.ID,
+		"cells", len(cells), "tenant", t.tenant, "class", t.class.String())
+
+	// run returns once every group resolves, or once Close has drained
+	// the scheduler, so the goroutine cannot outlive the coordinator's
+	// shutdown by more than that drain.
+	go func() {
+		res, stats, err := c.run(ctx, cells, t)
+		c.release(t)
+		c.finishJob(j, res, stats, err)
+	}()
+	writeJSON(w, http.StatusAccepted, server.SubmitResponse{
+		ID:    j.ID,
+		Sweep: sweep,
+		Cells: len(cells),
+		Job:   "/v1/jobs/" + j.ID,
+	})
 }
 
-// dispatchErr maps a Run failure onto the control plane's status codes.
-func dispatchErr(w http.ResponseWriter, err error) {
-	var ae *cluster.AdmissionError
-	switch {
-	case errors.Is(err, cluster.ErrUnknownKey):
-		httpErr(w, http.StatusUnauthorized, err.Error())
-	case errors.As(err, &ae):
-		secs := int((ae.RetryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
+// finishJob publishes a resolved sweep's status and evicts resolved jobs
+// beyond jobHistory. A failed sweep reports the failing cell's error;
+// cells it never resolved stay not-done. finishJob is a job's only writer
+// after submission, so it reads j without the lock.
+func (c *Coordinator) finishJob(j *server.JobStatus, res harness.Results, stats harness.Stats, err error) {
+	st := *j
+	st.Cells = append([]server.CellStatus(nil), j.Cells...)
+	var ce *harness.CellError
+	if err != nil {
+		st.State, st.Error = server.StateFailed, err.Error()
+		errors.As(err, &ce)
+	} else {
+		st.State = server.StateDone
+	}
+	for i := range st.Cells {
+		cs := &st.Cells[i]
+		switch {
+		case ce != nil && cs.Key == ce.Key:
+			cs.Done, cs.Error = true, ce.Err.Error()
+		case err == nil:
+			blob, merr := json.Marshal(res[cs.Key])
+			if merr != nil {
+				cs.Error = "encoding result: " + merr.Error()
+			}
+			cs.Done, cs.Result, cs.Stats = true, blob, stats[cs.Key]
 		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		w.Header().Set(cluster.RetryAfterMsHeader,
-			strconv.FormatInt(ae.RetryAfter.Milliseconds(), 10))
-		httpErr(w, http.StatusTooManyRequests, err.Error())
-	default:
-		var ce *harness.CellError
-		if errors.As(err, &ce) {
-			httpErr(w, http.StatusUnprocessableEntity, err.Error())
-			return
-		}
-		httpErr(w, http.StatusInternalServerError, err.Error())
+	}
+
+	c.jmu.Lock()
+	defer c.jmu.Unlock()
+	*j = st
+	c.jhist = append(c.jhist, st.ID)
+	for len(c.jhist) > jobHistory {
+		delete(c.jobs, c.jhist[0])
+		c.jhist = c.jhist[1:]
 	}
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// handleJob serves a submitted sweep's status in the daemon's JobStatus
+// shape.
+func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
+	c.jmu.Lock()
+	j, ok := c.jobs[r.PathValue("id")]
+	var st server.JobStatus
+	if ok {
+		st = *j
+	}
+	c.jmu.Unlock()
+	if !ok {
+		httpErr(w, http.StatusNotFound, fmt.Sprintf("no job %q", r.PathValue("id")))
+		return
+	}
+	writeJSON(w, http.StatusOK, st)
+}
+
+// writeJSON responds compactly, like the daemon, so result bytes embedded
+// as json.RawMessage pass through exactly as json.Marshal produced them.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client went away
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // client went away
 }
 
 func httpErr(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg}) //nolint:errcheck
+	writeJSON(w, status, map[string]string{"error": msg})
 }

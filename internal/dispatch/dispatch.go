@@ -235,6 +235,14 @@ type Coordinator struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
+	// jobs holds the sweeps submitted on the control plane's
+	// POST /v1/sweeps; jhist lists the resolved ones, oldest first, for
+	// eviction past jobHistory.
+	jmu   sync.Mutex
+	jobs  map[string]*server.JobStatus
+	jhist []string
+	jseq  int
+
 	quit      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
@@ -261,6 +269,7 @@ func New(opt Options) (*Coordinator, error) {
 		memberCh: make(chan struct{}),
 		sched:    cluster.NewQueue(opt.Ordering),
 		rng:      rand.New(rand.NewSource(seed)), //nolint:gosec // jitter, not crypto
+		jobs:     map[string]*server.JobStatus{},
 		quit:     make(chan struct{}),
 	}
 	c.met = newMetrics(c)
@@ -297,8 +306,8 @@ func (c *Coordinator) Close() {
 
 // MetricsVar exposes the coordinator's metrics map (dispatch counts per
 // backend, retries, failovers, hedges, store hits/misses, resume skips,
-// membership transitions), e.g. for expvar.Publish in a binary. Never
-// touches the global registry.
+// membership transitions) — the same counters GET /metrics serves — to
+// in-process readers. Never touches the global registry.
 func (c *Coordinator) MetricsVar() expvar.Var { return &c.met.root }
 
 // --- membership -----------------------------------------------------------
@@ -428,7 +437,7 @@ func (c *Coordinator) snapshot() []*backend {
 	return append([]*backend(nil), c.backends...)
 }
 
-// BackendCount reports the non-draining pool size (cluster.AutoscaleSource).
+// BackendCount reports the non-draining pool size.
 func (c *Coordinator) BackendCount() int {
 	n := 0
 	for _, b := range c.snapshot() {
@@ -438,10 +447,6 @@ func (c *Coordinator) BackendCount() int {
 	}
 	return n
 }
-
-// QueueDepth reports how many dispatch groups are waiting for a backend
-// (cluster.AutoscaleSource).
-func (c *Coordinator) QueueDepth() int { return c.sched.Len() }
 
 // BackendStatus is one backend's state as seen by Probe/Members.
 type BackendStatus struct {

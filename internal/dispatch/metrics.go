@@ -12,8 +12,8 @@ import (
 
 // metrics aggregates the coordinator's counters in a private expvar.Map —
 // like the server's, deliberately not published to the process-global
-// registry so multiple coordinators (tests!) never collide; binaries
-// publish MetricsVar once.
+// registry so multiple coordinators (tests!) never collide; GET /metrics
+// serves it.
 type metrics struct {
 	root expvar.Map
 

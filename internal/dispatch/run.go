@@ -100,23 +100,55 @@ func (c *Coordinator) RunStatsContext(ctx context.Context, cells []harness.Cell,
 	if err := harness.ValidateKeys(cells); err != nil {
 		return nil, nil, err
 	}
-	ctx, sweep := obs.EnsureSweep(ctx)
-
-	var tenant *cluster.Tenant
-	tenantID := "default"
-	if c.opt.Admission != nil {
-		t, err := c.opt.Admission.Admit(cluster.APIKeyFrom(ctx), len(cells))
-		if err != nil {
-			c.met.admissionRejects.Add(int64(1))
-			c.log.Warn("sweep rejected at admission", "sweep", sweep,
-				"cells", len(cells), "err", err)
-			return nil, nil, err
-		}
-		tenant = t
-		tenantID = t.ID
-		defer c.opt.Admission.Release(t.ID, len(cells))
+	ctx, _ = obs.EnsureSweep(ctx)
+	t, err := c.admit(ctx, len(cells))
+	if err != nil {
+		return nil, nil, err
 	}
-	class := classOf(ctx, tenant)
+	defer c.release(t)
+	return c.run(ctx, cells, t)
+}
+
+// ticket is a sweep's pass through the admission gate: the tenant its
+// cells are charged to ("default" when admission is off) and the priority
+// class they schedule under. It is released exactly once, when the sweep
+// resolves.
+type ticket struct {
+	tenant string
+	class  cluster.PriorityClass
+	cells  int
+}
+
+// admit is the first half of a sweep: it charges n cells against the
+// tenant whose API key ctx carries and resolves the sweep's class.
+// Rejections come back unwrapped as cluster.ErrUnknownKey or
+// *cluster.AdmissionError. Without Options.Admission every sweep admits.
+func (c *Coordinator) admit(ctx context.Context, n int) (ticket, error) {
+	if c.opt.Admission == nil {
+		return ticket{tenant: "default", class: classOf(ctx, nil), cells: n}, nil
+	}
+	t, err := c.opt.Admission.Admit(cluster.APIKeyFrom(ctx), n)
+	if err != nil {
+		c.met.admissionRejects.Add(1)
+		c.log.Warn("sweep rejected at admission", "sweep", obs.SweepID(ctx),
+			"cells", n, "err", err)
+		return ticket{}, err
+	}
+	return ticket{tenant: t.ID, class: classOf(ctx, t), cells: n}, nil
+}
+
+// release hands an admitted sweep's cells back to its tenant's quota.
+func (c *Coordinator) release(t ticket) {
+	if c.opt.Admission != nil {
+		c.opt.Admission.Release(t.tenant, t.cells)
+	}
+}
+
+// run is the second half of a sweep: it dispatches admitted cells through
+// the scheduler and collects keyed results. The cells must carry unique
+// keys and ctx a sweep ID.
+func (c *Coordinator) run(ctx context.Context, cells []harness.Cell, t ticket) (harness.Results, harness.Stats, error) {
+	sweep := obs.SweepID(ctx)
 
 	// Content-address every cell up front and fold duplicates into one
 	// dispatch group each.
@@ -140,7 +172,7 @@ func (c *Coordinator) RunStatsContext(ctx context.Context, cells []harness.Cell,
 		g.keys = append(g.keys, cell.Key)
 	}
 	c.met.cellsTotal.Add(int64(len(cells)))
-	c.met.addAdmitted(tenantID, class, len(cells))
+	c.met.addAdmitted(t.tenant, t.class, len(cells))
 	if shared := len(cells) - len(groups); shared > 0 {
 		c.met.dedupShares.Add(int64(shared))
 	}
@@ -164,7 +196,7 @@ func (c *Coordinator) RunStatsContext(ctx context.Context, cells []harness.Cell,
 	c.log.Info("sweep dispatching", "sweep", sweep,
 		"cells", len(cells), "groups", len(groups),
 		"pending", len(pending), "resumed", len(groups)-len(pending),
-		"tenant", tenantID, "class", class.String(),
+		"tenant", t.tenant, "class", t.class.String(),
 		"backends", c.BackendCount())
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -174,8 +206,8 @@ func (c *Coordinator) RunStatsContext(ctx context.Context, cells []harness.Cell,
 	var firstErr error
 	for _, g := range pending {
 		item := &cluster.Item{
-			Class:   class,
-			Payload: &schedJob{ctx: ctx, g: g, tenant: tenantID, ch: outcomes},
+			Class:   t.class,
+			Payload: &schedJob{ctx: ctx, g: g, tenant: t.tenant, ch: outcomes},
 		}
 		if c.sched.Ordering() == cluster.OrderSJF {
 			item.Cost = c.opt.Cost(g.cfg)

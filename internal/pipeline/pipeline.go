@@ -26,9 +26,9 @@ import (
 	"visasim/internal/uarch"
 )
 
-// wheelSize is the completion wheel capacity; it must exceed the largest
-// possible completion latency (TLB miss + L2 + memory ≈ 420 cycles).
-const wheelSize = 1024
+// wheelSize is the completion wheel capacity; config.Machine.Validate
+// guarantees every completion delta on a valid machine stays below it.
+const wheelSize = config.CompletionWheelSize
 
 // Params configures one simulation.
 type Params struct {

@@ -370,3 +370,27 @@ func TestIQThreadShare(t *testing.T) {
 			memShare, cpuShare)
 	}
 }
+
+// TestWheelBoundaryMachineRuns runs the slowest memory Validate admits
+// under the protection mode with a wakeup adder: the machine must simulate
+// a memory-bound mix to completion, and one more cycle of memory latency
+// must be rejected rather than panic mid-run.
+func TestWheelBoundaryMachineRuns(t *testing.T) {
+	m := config.Default()
+	m.IQProtection = config.ProtECC
+	m.MemoryLatency += config.CompletionWheelSize - 1 - m.WorstCompletionDelta()
+	if err := m.Validate(); err != nil {
+		t.Fatalf("boundary machine rejected: %v", err)
+	}
+	res := newProc(t, memMix, func(p *pipeline.Params) {
+		p.Machine = m
+		p.MaxInstructions = 4000
+	}).Run()
+	if res.Cycles == 0 {
+		t.Fatal("boundary machine simulated no cycles")
+	}
+	m.MemoryLatency++
+	if err := m.Validate(); err == nil {
+		t.Fatal("machine one cycle past the completion wheel validated")
+	}
+}

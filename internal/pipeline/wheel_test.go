@@ -9,18 +9,18 @@ import (
 )
 
 // TestWheelCoversModeledLatencies pins the completion wheel's sizing
-// invariant: the largest completion delta any issued uop can carry — the
-// worst-case data access (DTLB miss + L1D miss + L2 miss to memory) plus
-// the slowest functional-unit latency and the largest protection-mode
-// wakeup adder — must stay strictly inside wheelSize, or wheelPush panics
-// mid-run. Anyone growing a latency or adding a protection mode trips this
-// test before they trip the panic.
+// invariant against the model it guards. config.Machine.Validate admits a
+// machine only when WorstCompletionDelta fits the wheel, so that bound
+// must cover every latency the backend can add to an issued uop: the
+// worst-case data access (DTLB miss + L1D miss + L2 miss to memory), the
+// slowest functional unit, and the largest protection-mode wakeup adder.
+// Anyone growing a latency or adding a protection mode trips this test
+// before a valid machine can trip wheelPush's panic.
 func TestWheelCoversModeledLatencies(t *testing.T) {
+	if wheelSize != config.CompletionWheelSize {
+		t.Fatalf("wheelSize %d, config.CompletionWheelSize %d", wheelSize, config.CompletionWheelSize)
+	}
 	m := config.Default()
-
-	// Worst-case memory access as the hierarchy models it: a DTLB miss
-	// pays its penalty, then the access misses L1D and L2 and walks to
-	// memory through each level's latency.
 	worstData := m.DTLB.MissPenalty + m.L1D.HitLatency + m.L2.HitLatency + m.MemoryLatency
 
 	maxFU := 0
@@ -36,11 +36,18 @@ func TestWheelCoversModeledLatencies(t *testing.T) {
 			maxWake = w
 		}
 	}
+	if maxWake > config.MaxProtectionWakeup {
+		t.Fatalf("protection wakeup adder %d exceeds config.MaxProtectionWakeup %d",
+			maxWake, config.MaxProtectionWakeup)
+	}
 
 	worst := worstData + maxFU + maxWake
+	if bound := m.WorstCompletionDelta(); worst > bound {
+		t.Fatalf("modelled worst-case completion delta %d (data %d + FU %d + wakeup %d) exceeds WorstCompletionDelta %d",
+			worst, worstData, maxFU, maxWake, bound)
+	}
 	if worst >= wheelSize {
-		t.Fatalf("worst-case completion delta %d (data %d + FU %d + wakeup %d) >= wheelSize %d",
-			worst, worstData, maxFU, maxWake, wheelSize)
+		t.Fatalf("default machine's worst-case completion delta %d >= wheelSize %d", worst, wheelSize)
 	}
 	t.Logf("worst-case completion delta %d of wheelSize %d (data %d, FU %d, wakeup %d)",
 		worst, wheelSize, worstData, maxFU, maxWake)

@@ -2,9 +2,12 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 
 	"visasim/internal/core"
 	"visasim/internal/harness"
+	"visasim/internal/workload"
 )
 
 // SubmitCell is one sweep cell in a submission: a key naming the cell in
@@ -32,6 +35,49 @@ type SubmitRequest struct {
 	TraceLevel int `json:"trace_level,omitempty"`
 }
 
+// Resolve validates the submission the way every POST /v1/sweeps endpoint
+// does — at least one cell; each configuration canonicalizes, its machine
+// validates and its benchmarks exist; keys are unique — and returns the
+// cells in canonical form with their content addresses. An empty key
+// becomes the cell's content hash. Every error is the submitter's (400).
+func (r SubmitRequest) Resolve() ([]harness.Cell, []string, error) {
+	if len(r.Cells) == 0 {
+		return nil, nil, errors.New("submission has no cells")
+	}
+	cells := make([]harness.Cell, len(r.Cells))
+	hashes := make([]string, len(r.Cells))
+	seen := map[string]int{}
+	for i, sc := range r.Cells {
+		canon, err := sc.Config.Canonical()
+		if err != nil {
+			return nil, nil, fmt.Errorf("cell %d: %w", i, err)
+		}
+		if err := canon.Machine.Validate(); err != nil {
+			return nil, nil, fmt.Errorf("cell %d: %w", i, err)
+		}
+		for _, b := range canon.Benchmarks {
+			if _, err := workload.Get(b); err != nil {
+				return nil, nil, fmt.Errorf("cell %d: %w", i, err)
+			}
+		}
+		hash, err := canon.Hash()
+		if err != nil {
+			return nil, nil, fmt.Errorf("cell %d: %w", i, err)
+		}
+		key := sc.Key
+		if key == "" {
+			key = hash
+		}
+		if prev, dup := seen[key]; dup {
+			return nil, nil, fmt.Errorf("cells %d and %d share key %q", prev, i, key)
+		}
+		seen[key] = i
+		cells[i] = harness.Cell{Key: key, Cfg: canon}
+		hashes[i] = hash
+	}
+	return cells, hashes, nil
+}
+
 // SubmitResponse acknowledges an accepted sweep.
 type SubmitResponse struct {
 	// ID identifies the job for polling.
@@ -44,7 +90,8 @@ type SubmitResponse struct {
 	Cells int `json:"cells"`
 	// Job is the poll URL for the job ("/v1/jobs/{id}").
 	Job string `json:"job"`
-	// Stream is the NDJSON event-stream URL ("/v1/jobs/{id}/stream").
+	// Stream is the NDJSON event-stream URL ("/v1/jobs/{id}/stream");
+	// empty from a coordinator, which serves no streams.
 	Stream string `json:"stream"`
 }
 

@@ -19,10 +19,14 @@ import (
 	"visasim/internal/obs"
 )
 
-// Client runs sweeps against a visasimd daemon. Its Run and RunStats
-// methods mirror harness.Run / harness.RunStats, so callers (notably
-// experiments.Params.Runner) can swap local execution for the service —
-// and its cache — without other changes.
+// Client runs sweeps against a visasimd daemon or a visasimcoord
+// coordinator — both serve the same POST /v1/sweeps and GET /v1/jobs/{id}
+// contract. Its Run and RunStats methods mirror harness.Run /
+// harness.RunStats, so callers (notably experiments.Params.Runner) can swap
+// local execution for the service — and its cache — without other changes.
+// A priority class carried by the context (cluster.WithClass) travels in
+// the cluster.ClassHeader header; the coordinator schedules by it and a
+// daemon ignores it.
 type Client struct {
 	// BaseURL locates the daemon, e.g. "http://localhost:8080".
 	BaseURL string
@@ -228,6 +232,9 @@ func (c *Client) submitOnce(ctx context.Context, sweep string, blob []byte, cell
 	if c.APIKey != "" {
 		hreq.Header.Set(cluster.KeyHeader, c.APIKey)
 	}
+	if class, ok := cluster.ClassFrom(ctx); ok {
+		hreq.Header.Set(cluster.ClassHeader, class.String())
+	}
 	resp, err := c.http().Do(hreq)
 	if err != nil {
 		c.log().Error("sweep submit failed", "sweep", sweep, "server", c.BaseURL, "err", err)
@@ -366,15 +373,22 @@ func (c *Client) RunStatsContext(ctx context.Context, cells []harness.Cell, _ ha
 	}
 	c.log().Info("sweep finished", "sweep", sweep, "server", c.BaseURL,
 		"job", ack.ID, "state", st.State, "cache_hits", st.CacheHits)
-	if st.State == StateCanceled {
+	switch st.State {
+	case StateCanceled:
 		return nil, nil, errors.New("server: job canceled: " + st.Error)
+	case StateFailed:
+		// A coordinator stops at the first failing cell, so the others
+		// may carry no result: report the failure before decoding any.
+		for _, cell := range st.Cells {
+			if cell.Error != "" {
+				return nil, nil, &harness.CellError{Key: cell.Key, Err: errors.New(cell.Error)}
+			}
+		}
+		return nil, nil, errors.New("server: job failed: " + st.Error)
 	}
 	results := make(harness.Results, len(st.Cells))
 	stats := make(harness.Stats, len(st.Cells))
 	for _, cell := range st.Cells {
-		if cell.Error != "" {
-			return nil, nil, &harness.CellError{Key: cell.Key, Err: errors.New(cell.Error)}
-		}
 		var res core.Result
 		if err := json.Unmarshal(cell.Result, &res); err != nil {
 			return nil, nil, fmt.Errorf("decoding result for cell %s: %w", cell.Key, err)

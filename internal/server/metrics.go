@@ -28,7 +28,7 @@ func (j jsonVar) String() string {
 // metrics aggregates the daemon's counters in a private expvar.Map — expvar
 // types for atomicity and rendering, but deliberately not published to the
 // process-global expvar registry so multiple Servers (tests!) never collide
-// on names. cmd/visasimd publishes the root map once under "visasimd".
+// on names. GET /metrics serves the root map.
 type metrics struct {
 	root expvar.Map
 

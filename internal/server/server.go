@@ -36,7 +36,6 @@ import (
 	"visasim/internal/harness"
 	"visasim/internal/obs"
 	"visasim/internal/store"
-	"visasim/internal/workload"
 )
 
 // Options tunes the service.
@@ -192,8 +191,9 @@ func New(opt Options) *Server {
 	return s
 }
 
-// MetricsVar exposes the root metrics map, e.g. for expvar.Publish in a
-// daemon binary. The library never touches the global expvar registry.
+// MetricsVar exposes the root metrics map — the same counters GET
+// /metrics serves — to in-process readers such as benchmark harnesses. The
+// library never touches the global expvar registry.
 func (s *Server) MetricsVar() expvar.Var { return &s.met.root }
 
 // Handler returns the service's HTTP routes.
@@ -525,44 +525,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if len(req.Cells) == 0 {
-		writeError(w, http.StatusBadRequest, "submission has no cells")
+	resolved, hashes, err := req.Resolve()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-
-	cells := make([]jobCell, len(req.Cells))
-	seen := map[string]int{}
-	for i, sc := range req.Cells {
-		canon, err := sc.Config.Canonical()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "cell %d: %v", i, err)
-			return
-		}
-		if err := canon.Machine.Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, "cell %d: %v", i, err)
-			return
-		}
-		for _, b := range canon.Benchmarks {
-			if _, err := workload.Get(b); err != nil {
-				writeError(w, http.StatusBadRequest, "cell %d: %v", i, err)
-				return
-			}
-		}
-		hash, err := canon.Hash()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "cell %d: %v", i, err)
-			return
-		}
-		key := sc.Key
-		if key == "" {
-			key = hash
-		}
-		if prev, dup := seen[key]; dup {
-			writeError(w, http.StatusBadRequest, "cells %d and %d share key %q", prev, i, key)
-			return
-		}
-		seen[key] = i
-		cells[i] = jobCell{key: key, hash: hash, cfg: canon}
+	cells := make([]jobCell, len(resolved))
+	for i, c := range resolved {
+		cells[i] = jobCell{key: c.Key, hash: hashes[i], cfg: c.Cfg}
 	}
 
 	// Adopt the caller's sweep correlation ID (obs.SweepHeader) when it is
@@ -641,15 +611,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// rejectAdmission answers an admission failure: 401 for an unknown (or
-// missing) API key, 429 with both retry hints for a rate or quota bounce.
+// rejectAdmission counts and logs an admission failure, then answers it.
 func (s *Server) rejectAdmission(w http.ResponseWriter, sweep string, err error) {
 	s.met.jobsRejected.Add(1)
 	s.met.admissionRejects.Add(1)
+	s.log.Warn("job rejected", "sweep", sweep, "err", err)
+	WriteAdmissionError(w, err)
+}
+
+// WriteAdmissionError answers a submission the admission gate refused, the
+// same way on every POST /v1/sweeps endpoint: 401 for an unknown (or
+// missing) API key; 429 for a rate or quota bounce, with Retry-After in
+// whole seconds (at least 1) and cluster.RetryAfterMsHeader in
+// milliseconds; 500 for anything else.
+func WriteAdmissionError(w http.ResponseWriter, err error) {
 	var ae *cluster.AdmissionError
 	switch {
 	case errors.Is(err, cluster.ErrUnknownKey):
-		s.log.Warn("job rejected", "sweep", sweep, "reason", "unknown API key")
 		writeError(w, http.StatusUnauthorized, "%v", err)
 	case errors.As(err, &ae):
 		secs := int((ae.RetryAfter + time.Second - 1) / time.Second)
@@ -659,11 +637,8 @@ func (s *Server) rejectAdmission(w http.ResponseWriter, sweep string, err error)
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 		w.Header().Set(cluster.RetryAfterMsHeader,
 			strconv.FormatInt(ae.RetryAfter.Milliseconds(), 10))
-		s.log.Warn("job rejected", "sweep", sweep, "tenant", ae.Tenant,
-			"reason", ae.Reason, "retry_after", ae.RetryAfter)
 		writeError(w, http.StatusTooManyRequests, "%v", err)
 	default:
-		s.log.Error("admission failed", "sweep", sweep, "err", err)
 		writeError(w, http.StatusInternalServerError, "%v", err)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"visasim/internal/config"
 	"visasim/internal/core"
 	"visasim/internal/harness"
 	"visasim/internal/pipeline"
@@ -303,6 +304,37 @@ func TestBadRequests(t *testing.T) {
 		} else if er.Error == "" {
 			t.Errorf("%s: 400 without an error body", tc.name)
 		}
+	}
+}
+
+// TestWheelOverflowMachineRejected is the regression for a machine whose
+// worst-case completion delta overflows the pipeline's completion wheel: it
+// used to be accepted and panic the whole daemon mid-simulation. It must
+// answer 400 at submit, and the daemon must keep serving.
+func TestWheelOverflowMachineRejected(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	m := config.Default()
+	m.MemoryLatency = 2000
+	cfg := testCfg("mcf", core.SchemeBase)
+	cfg.Machine = &m
+	blob, err := json.Marshal(SubmitRequest{Cells: []SubmitCell{{Key: "slow", Config: cfg}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var er errorResponse
+	json.NewDecoder(resp.Body).Decode(&er) //nolint:errcheck
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(er.Error, "completion wheel") {
+		t.Fatalf("overflowing machine: HTTP %d %q, want 400 naming the completion wheel", resp.StatusCode, er.Error)
+	}
+
+	ack := submit(t, ts, SubmitRequest{Cells: []SubmitCell{{Key: "ok", Config: testCfg("mcf", core.SchemeBase)}}})
+	if st := waitJob(t, ts, ack.ID); st.State != StateDone {
+		t.Fatalf("daemon after the rejection: job %s, want done", st.State)
 	}
 }
 
