@@ -79,7 +79,8 @@ func main() {
 	fmt.Printf("dynamic instrs     %d (window %d)\n", prof.DynInstrs, *window)
 	fmt.Printf("ACE fraction       %.3f\n", prof.ACEFraction())
 	fmt.Printf("tag accuracy       %.3f (committed instances vs per-PC tags)\n", prof.Accuracy())
-	fmt.Printf("windowing errors   %d late marks\n", prof.LateMarks)
+	fmt.Printf("windowing errors   %d late marks while streaming %d + %d (window) instructions\n",
+		prof.LateMarks, prof.DynInstrs, *window)
 
 	tagged := 0
 	for _, v := range prof.Tag {

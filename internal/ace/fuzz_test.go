@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"visasim/internal/trace"
+	"visasim/internal/workload"
 )
 
 // fuzzSeedProfile builds a small but fully-populated profile for the fuzz
@@ -56,6 +57,40 @@ func FuzzProfileRoundTrip(f *testing.F) {
 		}
 		if !reflect.DeepEqual(p, p2) {
 			t.Fatalf("round trip changed the profile:\n got %+v\nwant %+v", p2, p)
+		}
+	})
+}
+
+// FuzzProfilerPrefix fuzzes the sequence of lengths one Profiler is asked
+// for. Each byte pair is a length of 1..4096 instructions, so a sequence
+// mixes requests inside the held horizon with ones that force a new
+// analysis. Every profile must equal a single-pass analysis of its length.
+func FuzzProfilerPrefix(f *testing.F) {
+	const window = 512
+	benches := table3Benchmarks()
+	f.Add(uint8(0), []byte{0, 0, 0, 62, 0, 63, 0, 64, 9, 195, 2, 187})
+	f.Add(uint8(5), []byte{15, 255, 0, 9, 4, 0, 4, 1})
+	f.Add(uint8(14), []byte{1, 255, 1, 0, 0, 200})
+
+	f.Fuzz(func(t *testing.T, bench uint8, lengths []byte) {
+		if len(lengths) > 16 {
+			lengths = lengths[:16] // bound the work per input
+		}
+		b := workload.MustGet(benches[int(bench)%len(benches)])
+		prog, err := b.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr := NewProfiler(b.Params.Seed, 0, window)
+		for i := 0; i+1 < len(lengths); i += 2 {
+			n := (uint64(lengths[i])<<8|uint64(lengths[i+1]))%4096 + 1
+			got, err := pr.Profile(prog, n)
+			if err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			if want := singlePass(prog, b.Params.Seed, 0, n, window); !sameProfile(got, want) {
+				t.Fatalf("n=%d: profile differs from a single pass", n)
+			}
 		}
 	})
 }

@@ -11,9 +11,9 @@
 //	        MaxInstructions: 400_000,
 //	})
 //
-// Offline profiles (the expensive ACE analysis pass) are cached per
-// (benchmark, budget, window) so sweeps over schemes and policies reuse
-// them.
+// Offline profiles are cached per (benchmark, budget, window) so sweeps
+// over schemes and policies reuse them, and every budget of a benchmark
+// derives its profile from one shared ACE analysis per (benchmark, window).
 package core
 
 import (
@@ -209,22 +209,34 @@ func (r *Result) CombinedTagAccuracy() float64 {
 	return matches / total
 }
 
-// profileKey identifies a cached offline profile.
+// profileKey identifies one per-budget entry of the profile cache.
 type profileKey struct {
 	bench  string
 	n      uint64
 	window int
 }
 
+// analysisKey identifies one shared ACE analysis. Every budget of a
+// benchmark draws from it: a shorter profile's bits are a prefix of a
+// longer one's (see ace.Profiler).
+type analysisKey struct {
+	bench  string
+	window int
+}
+
+// profileEntry is one key's generated program with its profiled ACE tags
+// applied, plus the profile it was tagged from.
 type profileEntry struct {
 	once sync.Once
-	p    *ace.Profile
+	prog *program.Program
+	prof *ace.Profile
 	err  error
 }
 
 var (
 	profileMu    sync.Mutex
 	profileCache = map[profileKey]*profileEntry{}
+	profilers    = map[analysisKey]*ace.Profiler{}
 )
 
 // profileSlack covers in-flight instructions beyond the commit budget.
@@ -234,12 +246,34 @@ const profileSlack = 4096
 // covering at least n dynamic instructions with the given analysis window.
 // Concurrent callers for the same key share one profiling pass.
 func ProfileFor(bench workload.Benchmark, n uint64, window int) (*ace.Profile, error) {
-	key := profileKey{bench.Name, n, window}
+	_, prof, err := taggedProgramFor(bench, n, window)
+	return prof, err
+}
+
+// taggedProgramFor returns the (cached) generated program for bench with
+// the offline profile's ACE tags applied, and that profile. Program
+// generation and tag application are deterministic per key, executors never
+// mutate the program, and the address-space tag is applied per thread at
+// execution — so one tagged program safely serves every thread slot of
+// every cell in a sweep. Each key generates its program once, and concurrent
+// callers for the same key share that pass. The profile comes from the
+// benchmark's shared analysis, which only runs again for a longer prefix.
+func taggedProgramFor(bench workload.Benchmark, n uint64, window int) (*program.Program, *ace.Profile, error) {
 	profileMu.Lock()
+	key := profileKey{bench.Name, n, window}
 	e, ok := profileCache[key]
 	if !ok {
 		e = &profileEntry{}
 		profileCache[key] = e
+	}
+	akey := analysisKey{bench.Name, window}
+	pr, ok := profilers[akey]
+	if !ok {
+		// Thread 0 unconditionally: the address-space tag does not
+		// affect ACE-ness (it is a bijection on addresses), so one
+		// profile serves every thread slot.
+		pr = ace.NewProfiler(bench.Params.Seed, 0, window)
+		profilers[akey] = pr
 	}
 	profileMu.Unlock()
 
@@ -249,52 +283,7 @@ func ProfileFor(bench workload.Benchmark, n uint64, window int) (*ace.Profile, e
 			e.err = err
 			return
 		}
-		// Thread 0 unconditionally: the address-space tag does not
-		// affect ACE-ness (it is a bijection on addresses), so one
-		// profile serves every thread slot.
-		e.p, e.err = ace.Run(prog, bench.Params.Seed, 0, n, window)
-	})
-	return e.p, e.err
-}
-
-// taggedProgEntry is a cached generated program with its profiled ACE tags
-// applied, plus the profile it was tagged from.
-type taggedProgEntry struct {
-	once sync.Once
-	prog *program.Program
-	prof *ace.Profile
-	err  error
-}
-
-var (
-	taggedMu    sync.Mutex
-	taggedCache = map[profileKey]*taggedProgEntry{}
-)
-
-// taggedProgramFor returns the (cached) generated program for bench with
-// the offline profile's ACE tags applied, and that profile. Program
-// generation and tag application are deterministic per key, executors never
-// mutate the program, and the address-space tag is applied per thread at
-// execution — so one tagged program safely serves every thread slot of
-// every cell in a sweep. Concurrent callers for the same key share one
-// generation pass.
-func taggedProgramFor(bench workload.Benchmark, n uint64, window int) (*program.Program, *ace.Profile, error) {
-	key := profileKey{bench.Name, n, window}
-	taggedMu.Lock()
-	e, ok := taggedCache[key]
-	if !ok {
-		e = &taggedProgEntry{}
-		taggedCache[key] = e
-	}
-	taggedMu.Unlock()
-
-	e.once.Do(func() {
-		prof, err := ProfileFor(bench, n, window)
-		if err != nil {
-			e.err = err
-			return
-		}
-		prog, err := bench.Generate()
+		prof, err := pr.Profile(prog, n)
 		if err != nil {
 			e.err = err
 			return

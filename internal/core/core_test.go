@@ -1,9 +1,14 @@
 package core
 
 import (
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"visasim/internal/ace"
 	"visasim/internal/pipeline"
+	"visasim/internal/program"
 	"visasim/internal/workload"
 )
 
@@ -129,6 +134,68 @@ func TestProfileCacheReuse(t *testing.T) {
 	}
 	if p1 == p3 {
 		t.Fatal("different budgets shared a profile")
+	}
+}
+
+var concurrentRuns atomic.Int32
+
+// TestProfileForConcurrent has several goroutines ask for one benchmark at
+// different lengths at once — some sharing a key, some forcing the shared
+// analysis to grow — and checks each profile and tagged program against a
+// sequential run.
+func TestProfileForConcurrent(t *testing.T) {
+	// A window no other test or earlier run (-count) used, so every key
+	// and the shared analysis start cold.
+	window := 700 + int(concurrentRuns.Add(1))
+	b := workload.MustGet("gcc")
+	lengths := []uint64{3000, 64, 9000, 3000, 1, 5000, 9000, 700}
+
+	type out struct {
+		prog *program.Program
+		prof *ace.Profile
+		err  error
+	}
+	got := make([]out, len(lengths))
+	var wg sync.WaitGroup
+	for i, n := range lengths {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prog, prof, err := taggedProgramFor(b, n, window)
+			got[i] = out{prog, prof, err}
+		}()
+	}
+	wg.Wait()
+
+	for i, n := range lengths {
+		if got[i].err != nil {
+			t.Fatalf("n=%d: %v", n, got[i].err)
+		}
+		prog, err := b.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ace.Run(prog, b.Params.Seed, 0, n, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Apply(prog)
+		// Bits compare by value: a derived profile shares a longer
+		// analysis's storage, so its last word may carry later bits.
+		gp, wp := *got[i].prof, *want
+		if !reflect.DeepEqual(gp.Bits.Words(), wp.Bits.Words()) || gp.Bits.Len() != wp.Bits.Len() {
+			t.Fatalf("n=%d: concurrent profile's bits differ from a sequential one's", n)
+		}
+		gp.Bits, wp.Bits = nil, nil
+		if !reflect.DeepEqual(gp, wp) {
+			t.Fatalf("n=%d: concurrent profile differs from a sequential one", n)
+		}
+		if !reflect.DeepEqual(got[i].prog, prog) {
+			t.Fatalf("n=%d: concurrent tagged program differs from a sequential one", n)
+		}
+		if prof, err := ProfileFor(b, n, window); err != nil || prof != got[i].prof {
+			t.Fatalf("n=%d: ProfileFor does not return the tagged program's profile", n)
+		}
 	}
 }
 

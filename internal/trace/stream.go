@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // BitSet is a compact per-dynamic-instruction boolean store, used to carry
@@ -41,8 +42,28 @@ func (b *BitSet) Get(i uint64) bool {
 	return b.words[i/64]&(1<<(i%64)) != 0
 }
 
-// Words exposes the backing words (for serialisation).
-func (b *BitSet) Words() []uint64 { return b.words }
+// Prefix returns the first n bits as a bit set that shares b's storage, so
+// neither may be modified afterwards. Its last word may carry bits of b
+// past n; Get and Count never read them.
+func (b *BitSet) Prefix(n uint64) *BitSet {
+	if n > b.n {
+		panic(fmt.Sprintf("trace: BitSet.Prefix(%d) out of range %d", n, b.n))
+	}
+	k := (n + 63) / 64
+	return &BitSet{words: b.words[:k:k], n: n}
+}
+
+// Words returns the backing words (for serialisation), with any bits past
+// Len cleared, so equal bit sets give equal words.
+func (b *BitSet) Words() []uint64 {
+	r := b.n % 64
+	if r == 0 || b.words[len(b.words)-1]>>r == 0 {
+		return b.words
+	}
+	w := slices.Clone(b.words)
+	w[len(w)-1] &= 1<<r - 1
+	return w
+}
 
 // NewBitSetFromWords reconstructs a bit set from serialised words.
 func NewBitSetFromWords(words []uint64, n uint64) (*BitSet, error) {

@@ -31,6 +31,37 @@ func TestBitSetBasics(t *testing.T) {
 	}
 }
 
+func TestBitSetPrefix(t *testing.T) {
+	b := NewBitSet(200)
+	for i := uint64(0); i < 200; i += 3 {
+		b.Set(i, true)
+	}
+	total := b.Count(200)
+	for _, n := range []uint64{0, 1, 63, 64, 65, 130, 200} {
+		p := b.Prefix(n)
+		if p.Len() != n || p.Count(n) != b.Count(n) {
+			t.Fatalf("Prefix(%d): len %d, count %d, want %d", n, p.Len(), p.Count(n), b.Count(n))
+		}
+		for i := uint64(0); i < n; i++ {
+			if p.Get(i) != b.Get(i) {
+				t.Fatalf("Prefix(%d): bit %d differs", n, i)
+			}
+		}
+		// The view's last word still holds b's later bits; Words must
+		// clear them so equal bit sets serialise equally.
+		want := NewBitSet(n)
+		for i := uint64(0); i < n; i++ {
+			want.Set(i, b.Get(i))
+		}
+		if got := p.Words(); len(got) != len(want.words) || (len(got) > 0 && got[len(got)-1] != want.words[len(got)-1]) {
+			t.Fatalf("Prefix(%d).Words() = %x, want %x", n, got, want.words)
+		}
+	}
+	if b.Count(200) != total {
+		t.Fatal("Words cleared bits of the shared source set")
+	}
+}
+
 func TestBitSetOutOfRangePanics(t *testing.T) {
 	b := NewBitSet(8)
 	for _, f := range []func(){
