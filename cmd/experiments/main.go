@@ -86,7 +86,7 @@ func main() {
 		os.Exit(2)
 	}
 	// Ctrl-C aborts a remote sweep mid-flight (queued cells are skipped,
-	// in-flight dispatches canceled) instead of letting it poll on; local
+	// in-flight dispatches canceled) instead of letting it run on; local
 	// in-process sweeps are unaffected.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()

@@ -12,8 +12,9 @@
 // dispatched through any policy is byte-identical to a local harness run.
 //
 // Sweeps use the daemon's own contract — POST /v1/sweeps answers 202 with a
-// job ID, GET /v1/jobs/{id} polls it — so server.Client (and `visasimctl
-// sweep -coord`) drives a coordinator and a single visasimd alike.
+// job ID, GET /v1/jobs/{id}/stream ends with the sweep's outcome — so
+// server.Client (and `visasimctl sweep -coord`) drives a coordinator and a
+// single visasimd alike.
 //
 // Endpoints (see dispatch.Coordinator.Control):
 //
@@ -24,7 +25,8 @@
 //	POST /v1/backends/drain       {"url": ...} finish in-flight work, then leave
 //	GET  /v1/tenants              tenant quotas and usage (with -tenants)
 //	POST /v1/sweeps               submit a sweep to the scheduler
-//	GET  /v1/jobs/{id}            poll a submitted sweep
+//	GET  /v1/jobs/{id}/stream     wait: NDJSON cell events, then end
+//	GET  /v1/jobs/{id}            a submitted sweep's status snapshot
 //	GET  /metrics, /metrics/prom  coordinator metrics (expvar JSON / Prometheus)
 //
 // With -tenants FILE every submission must carry a known X-Visasim-Key;

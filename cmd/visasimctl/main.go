@@ -275,8 +275,8 @@ func cmdSweep(args []string) error {
 	}
 
 	// SIGINT/SIGTERM cancel the sweep: queued groups are skipped and every
-	// in-flight dispatch attempt is aborted, instead of polling the cluster
-	// to completion after the operator gave up.
+	// in-flight dispatch attempt is aborted, instead of waiting on the
+	// cluster to completion after the operator gave up.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if *priority != "" {

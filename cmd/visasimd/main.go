@@ -9,8 +9,9 @@
 // Endpoints:
 //
 //	POST /v1/sweeps           submit cells, returns a job ID
-//	GET  /v1/jobs/{id}        poll job status and results
-//	GET  /v1/jobs/{id}/stream NDJSON per-cell results as they resolve
+//	GET  /v1/jobs/{id}/stream wait: NDJSON per-cell results as they resolve,
+//	                          then an end event with the job's final state
+//	GET  /v1/jobs/{id}        job status and results, a snapshot
 //	GET  /v1/tenants          tenant quotas and usage (with -tenants)
 //	GET  /healthz             liveness
 //	GET  /metrics             expvar metrics (queue, cache hit ratio, cells/sec)
@@ -28,7 +29,7 @@
 //	curl -s localhost:8080/v1/sweeps -d '{"cells":[{"key":"demo",
 //	  "config":{"Benchmarks":["gcc","mcf","vpr","perlbmk"],"Scheme":1,
 //	  "MaxInstructions":100000}}]}'
-//	curl -s localhost:8080/v1/jobs/job-1
+//	curl -sN localhost:8080/v1/jobs/job-1/stream
 //	curl -s localhost:8080/metrics
 //
 // Cluster mode: with -register URL the daemon joins a visasimcoord pool at
@@ -68,7 +69,7 @@ func main() {
 		jobWorkers = flag.Int("job-workers", 2, "concurrently executing jobs")
 		simWorkers = flag.Int("workers", 0, "concurrent simulations across all jobs (0 = GOMAXPROCS)")
 		queueDepth = flag.Int("queue-depth", 64, "bounded job queue; beyond it submissions get 503")
-		jobHistory = flag.Int("job-history", 256, "terminal jobs retained for polling; older ones are evicted")
+		jobHistory = flag.Int("job-history", 256, "terminal jobs retained for status reads; older ones are evicted")
 		drainWait  = flag.Duration("drain", 10*time.Minute, "shutdown grace period for in-flight jobs")
 		storeDir   = flag.String("store", "", "persist results to this directory; warm restarts serve from disk")
 		storeMax   = flag.Int64("store-max-bytes", 0, "evict oldest store entries beyond this size (0 = unbounded)")

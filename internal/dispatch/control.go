@@ -19,8 +19,8 @@ import (
 // cluster binaries speak. Backends register and deregister themselves here
 // (dynamic membership: `visasimd -register`), operators drain them
 // (`visasimctl drain`), and clients submit whole sweeps through the
-// scheduler with the daemon's own contract — POST /v1/sweeps, then poll
-// GET /v1/jobs/{id} — so one server.Client drives either process.
+// scheduler with the daemon's own contract — POST /v1/sweeps, then read
+// GET /v1/jobs/{id}/stream — so one server.Client drives either process.
 
 // registerRequest is the body of the membership POSTs.
 type registerRequest struct {
@@ -28,8 +28,17 @@ type registerRequest struct {
 }
 
 // jobHistory bounds how many resolved sweeps the control plane keeps for
-// polling; older ones are evicted oldest-first and their IDs answer 404.
+// status reads; older ones are evicted oldest-first and their IDs answer
+// 404.
 const jobHistory = 256
+
+// sweepJob is one sweep submitted on the control plane. st is guarded by
+// Coordinator.jmu; changed is closed by finishJob when the sweep resolves,
+// which wakes the job's stream readers.
+type sweepJob struct {
+	st      server.JobStatus
+	changed chan struct{}
+}
 
 // Control returns the coordinator's control-plane handler:
 //
@@ -40,7 +49,8 @@ const jobHistory = 256
 //	POST /v1/backends/drain       {"url": ...} drain gracefully, then leave
 //	GET  /v1/tenants              tenant quotas and usage (admission mode)
 //	POST /v1/sweeps               submit a sweep to the scheduler (202)
-//	GET  /v1/jobs/{id}            poll a submitted sweep
+//	GET  /v1/jobs/{id}/stream     wait: NDJSON cell events, then end
+//	GET  /v1/jobs/{id}            a submitted sweep's status snapshot
 //	GET  /metrics                 coordinator counters as JSON (expvar shape)
 //	GET  /metrics/prom            Prometheus text exposition
 func (c *Coordinator) Control() http.Handler {
@@ -79,6 +89,7 @@ func (c *Coordinator) Control() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/sweeps", c.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}", c.handleJob)
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", c.handleStream)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintln(w, c.met.root.String())
@@ -97,7 +108,7 @@ func (c *Coordinator) handshake(ctx context.Context, url string) error {
 	hctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
 	b := &backend{url: url}
-	return b.probe(hctx, c.httpClient())
+	return b.probe(hctx, c.opt.HTTP)
 }
 
 // membershipHandler adapts a membership mutation into a POST handler.
@@ -130,7 +141,7 @@ func (c *Coordinator) membershipHandler(op func(ctx context.Context, url string)
 // Admission is decided before the 202, so an unknown key answers 401 and a
 // throttled tenant 429 with Retry-After and cluster.RetryAfterMsHeader
 // hints. The sweep then runs through the scheduler exactly like
-// RunStatsContext and is polled on GET /v1/jobs/{id}.
+// RunStatsContext; clients wait on GET /v1/jobs/{id}/stream.
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req server.SubmitRequest
 	dec := json.NewDecoder(io.LimitReader(r.Body, 16<<20))
@@ -170,16 +181,20 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	j := &server.JobStatus{State: server.StateRunning, Cells: make([]server.CellStatus, len(cells))}
+	j := &sweepJob{
+		st:      server.JobStatus{State: server.StateRunning, Cells: make([]server.CellStatus, len(cells))},
+		changed: make(chan struct{}),
+	}
 	for i, cell := range cells {
-		j.Cells[i] = server.CellStatus{Key: cell.Key, Hash: hashes[i]}
+		j.st.Cells[i] = server.CellStatus{Key: cell.Key, Hash: hashes[i]}
 	}
 	c.jmu.Lock()
 	c.jseq++
-	j.ID = fmt.Sprintf("job-%d", c.jseq)
-	c.jobs[j.ID] = j
+	id := fmt.Sprintf("job-%d", c.jseq)
+	j.st.ID = id
+	c.jobs[id] = j
 	c.jmu.Unlock()
-	c.log.Info("sweep accepted", "sweep", sweep, "job", j.ID,
+	c.log.Info("sweep accepted", "sweep", sweep, "job", id,
 		"cells", len(cells), "tenant", t.tenant, "class", t.class.String())
 
 	// run returns once every group resolves, or once Close has drained
@@ -191,20 +206,22 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		c.finishJob(j, res, stats, err)
 	}()
 	writeJSON(w, http.StatusAccepted, server.SubmitResponse{
-		ID:    j.ID,
-		Sweep: sweep,
-		Cells: len(cells),
-		Job:   "/v1/jobs/" + j.ID,
+		ID:     id,
+		Sweep:  sweep,
+		Cells:  len(cells),
+		Job:    "/v1/jobs/" + id,
+		Stream: "/v1/jobs/" + id + "/stream",
 	})
 }
 
-// finishJob publishes a resolved sweep's status and evicts resolved jobs
-// beyond jobHistory. A failed sweep reports the failing cell's error;
-// cells it never resolved stay not-done. finishJob is a job's only writer
-// after submission, so it reads j without the lock.
-func (c *Coordinator) finishJob(j *server.JobStatus, res harness.Results, stats harness.Stats, err error) {
-	st := *j
-	st.Cells = append([]server.CellStatus(nil), j.Cells...)
+// finishJob publishes a resolved sweep's status, wakes its stream readers
+// and evicts resolved jobs beyond jobHistory. A failed sweep reports the
+// failing cell's error; cells it never resolved stay not-done. finishJob
+// is a job's only writer after submission, so it reads j.st without the
+// lock.
+func (c *Coordinator) finishJob(j *sweepJob, res harness.Results, stats harness.Stats, err error) {
+	st := j.st
+	st.Cells = append([]server.CellStatus(nil), j.st.Cells...)
 	var ce *harness.CellError
 	if err != nil {
 		st.State, st.Error = server.StateFailed, err.Error()
@@ -228,7 +245,8 @@ func (c *Coordinator) finishJob(j *server.JobStatus, res harness.Results, stats 
 
 	c.jmu.Lock()
 	defer c.jmu.Unlock()
-	*j = st
+	j.st = st
+	close(j.changed)
 	c.jhist = append(c.jhist, st.ID)
 	for len(c.jhist) > jobHistory {
 		delete(c.jobs, c.jhist[0])
@@ -236,21 +254,58 @@ func (c *Coordinator) finishJob(j *server.JobStatus, res harness.Results, stats 
 	}
 }
 
+// lookup returns a submitted sweep's record and its current status, or
+// nil when the ID is unknown (or evicted).
+func (c *Coordinator) lookup(id string) (*sweepJob, server.JobStatus) {
+	c.jmu.Lock()
+	defer c.jmu.Unlock()
+	j := c.jobs[id]
+	if j == nil {
+		return nil, server.JobStatus{}
+	}
+	return j, j.st
+}
+
 // handleJob serves a submitted sweep's status in the daemon's JobStatus
 // shape.
 func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	c.jmu.Lock()
-	j, ok := c.jobs[r.PathValue("id")]
-	var st server.JobStatus
-	if ok {
-		st = *j
-	}
-	c.jmu.Unlock()
-	if !ok {
+	j, st := c.lookup(r.PathValue("id"))
+	if j == nil {
 		httpErr(w, http.StatusNotFound, fmt.Sprintf("no job %q", r.PathValue("id")))
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
+}
+
+// handleStream serves a submitted sweep's events in the daemon's
+// StreamEvent shape: once the sweep resolves, one "cell" event per cell
+// (not-done cells included), then the "end" event.
+func (c *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
+	j, _ := c.lookup(r.PathValue("id"))
+	if j == nil {
+		httpErr(w, http.StatusNotFound, fmt.Sprintf("no job %q", r.PathValue("id")))
+		return
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	if f, ok := w.(http.Flusher); ok {
+		f.Flush()
+	}
+	select {
+	case <-j.changed:
+	case <-r.Context().Done():
+		return
+	}
+	c.jmu.Lock()
+	st := j.st
+	c.jmu.Unlock()
+	enc := json.NewEncoder(w)
+	for i := range st.Cells {
+		if err := enc.Encode(server.StreamEvent{Type: "cell", Cell: &st.Cells[i]}); err != nil {
+			return
+		}
+	}
+	enc.Encode(server.StreamEvent{Type: "end", State: st.State, Error: st.Error}) //nolint:errcheck // client went away
 }
 
 // writeJSON responds compactly, like the daemon, so result bytes embedded

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -92,7 +94,7 @@ func TestControlPlaneLifecycle(t *testing.T) {
 	rec := &throttleRecorder{}
 	newClient := func(key string, retry429 int) *server.Client {
 		return &server.Client{BaseURL: ctl.URL, APIKey: key, Retry429: retry429,
-			PollInterval: 2 * time.Millisecond, HTTP: &http.Client{Transport: rec}}
+			HTTP: &http.Client{Transport: rec}}
 	}
 	cli := newClient("pk", 0)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -109,7 +111,8 @@ func TestControlPlaneLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack.ID == "" || ack.Sweep == "" || ack.Cells != 2 || ack.Job != "/v1/jobs/"+ack.ID {
+	if ack.ID == "" || ack.Sweep == "" || ack.Cells != 2 || ack.Job != "/v1/jobs/"+ack.ID ||
+		ack.Stream != ack.Job+"/stream" {
 		t.Fatalf("submit ack = %+v", ack)
 	}
 
@@ -269,7 +272,7 @@ func TestControlPlaneRejectsBadSubmissions(t *testing.T) {
 	}
 
 	// Still serving: a valid sweep runs to completion.
-	cli := &server.Client{BaseURL: ctl.URL, PollInterval: 2 * time.Millisecond, Timeout: time.Minute}
+	cli := &server.Client{BaseURL: ctl.URL, Timeout: time.Minute}
 	if _, err := cli.Run([]harness.Cell{{Key: "ok", Cfg: testCfg("gcc", core.SchemeVISA)}}, harness.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -279,26 +282,12 @@ func TestControlPlaneRejectsBadSubmissions(t *testing.T) {
 // cell the backend fails marks the job failed, names the cell, and reaches
 // server.Client as a *harness.CellError keyed like a local failure.
 func TestControlPlaneFailedSweep(t *testing.T) {
-	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/v1/sweeps":
-			var req server.SubmitRequest
-			json.NewDecoder(r.Body).Decode(&req) //nolint:errcheck
-			w.WriteHeader(http.StatusAccepted)
-			json.NewEncoder(w).Encode(server.SubmitResponse{ID: req.Cells[0].Key}) //nolint:errcheck
-		case "/healthz":
-		default: // GET /v1/jobs/{id}, where the job ID is the cell key
-			key := r.URL.Path[len("/v1/jobs/"):]
-			json.NewEncoder(w).Encode(server.JobStatus{ID: key, State: server.StateFailed, //nolint:errcheck
-				Cells: []server.CellStatus{{Key: key, Done: true, Error: "simulated failure"}}})
-		}
-	}))
-	t.Cleanup(failing.Close)
+	failing := newFailingBackend(t)
 	c := newCoordinator(t, Options{Backends: []string{failing.URL}})
 	ctl := httptest.NewServer(c.Control())
 	t.Cleanup(ctl.Close)
 
-	cli := &server.Client{BaseURL: ctl.URL, PollInterval: 2 * time.Millisecond, Timeout: time.Minute}
+	cli := &server.Client{BaseURL: ctl.URL, Timeout: time.Minute}
 	_, err := cli.Run([]harness.Cell{{Key: "doomed", Cfg: testCfg("gcc", core.SchemeBase)}}, harness.Options{})
 	var ce *harness.CellError
 	if !errors.As(err, &ce) || ce.Key != "doomed" {
@@ -310,5 +299,32 @@ func TestControlPlaneFailedSweep(t *testing.T) {
 	}
 	if st.State != server.StateFailed || st.Error == "" || !st.Cells[0].Done || st.Cells[0].Error == "" {
 		t.Fatalf("failed job status = %+v", st)
+	}
+
+	// The coordinator serves the job's stream too: its last line is the
+	// end event, carrying the failing cell's error.
+	ack, err := cli.Submit(context.Background(), []harness.Cell{{Key: "doomed", Cfg: testCfg("gcc", core.SchemeBase)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack.Stream == "" {
+		t.Fatalf("coordinator submit ack has no stream URL: %+v", ack)
+	}
+	resp, err := http.Get(ctl.URL + ack.Stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	blob, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(blob), []byte("\n"))
+	var end server.StreamEvent
+	if err := json.Unmarshal(lines[len(lines)-1], &end); err != nil {
+		t.Fatalf("last stream line %q: %v", lines[len(lines)-1], err)
+	}
+	if end.Type != "end" || end.State != server.StateFailed || !strings.Contains(end.Error, "simulated failure") {
+		t.Fatalf("last stream event = %+v, want end/failed carrying the cell's error", end)
 	}
 }

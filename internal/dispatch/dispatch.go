@@ -116,11 +116,9 @@ type Options struct {
 	// resolves.
 	Admission *cluster.Admission
 	// HTTP is the transport shared by all backend clients and health
-	// probes (http.DefaultClient when nil).
+	// probes. When nil, the coordinator uses its own client whose transport
+	// keeps up to Workers idle connections per backend.
 	HTTP *http.Client
-	// PollInterval spaces job polls against a backend (the client's 50ms
-	// default when 0).
-	PollInterval time.Duration
 	// ProbeInterval spaces /healthz probes of every backend (2s when 0).
 	// A backend that fails a probe — or a dispatch — is deprioritized
 	// until a probe succeeds again; it is never removed.
@@ -192,6 +190,18 @@ func (o Options) withDefaults() Options {
 	if o.Cost == nil {
 		o.Cost = cluster.InstrCost
 	}
+	if o.HTTP == nil {
+		// Every in-flight attempt holds a connection while it reads the
+		// backend's job stream. The default transport keeps only two idle
+		// connections per host, so with more workers than that most cells
+		// would dial a fresh connection and drop it afterwards.
+		o.HTTP = http.DefaultClient
+		if dt, ok := http.DefaultTransport.(*http.Transport); ok {
+			tr := dt.Clone()
+			tr.MaxIdleConnsPerHost = o.Workers
+			o.HTTP = &http.Client{Transport: tr}
+		}
+	}
 	return o
 }
 
@@ -239,7 +249,7 @@ type Coordinator struct {
 	// POST /v1/sweeps; jhist lists the resolved ones, oldest first, for
 	// eviction past jobHistory.
 	jmu   sync.Mutex
-	jobs  map[string]*server.JobStatus
+	jobs  map[string]*sweepJob
 	jhist []string
 	jseq  int
 
@@ -269,7 +279,7 @@ func New(opt Options) (*Coordinator, error) {
 		memberCh: make(chan struct{}),
 		sched:    cluster.NewQueue(opt.Ordering),
 		rng:      rand.New(rand.NewSource(seed)), //nolint:gosec // jitter, not crypto
-		jobs:     map[string]*server.JobStatus{},
+		jobs:     map[string]*sweepJob{},
 		quit:     make(chan struct{}),
 	}
 	c.met = newMetrics(c)
@@ -295,13 +305,15 @@ func New(opt Options) (*Coordinator, error) {
 }
 
 // Close stops accepting new sweeps, lets queued and in-flight work drain,
-// and releases the dispatcher pool and health prober.
+// releases the dispatcher pool and health prober, and closes the HTTP
+// client's idle connections.
 func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() {
 		close(c.quit)
 		c.sched.Close()
 	})
 	c.wg.Wait()
+	c.opt.HTTP.CloseIdleConnections()
 }
 
 // MetricsVar exposes the coordinator's metrics map (dispatch counts per
@@ -341,8 +353,7 @@ func (c *Coordinator) join(url, reason string) {
 	}
 	b := &backend{
 		url: url,
-		cli: &server.Client{BaseURL: url, HTTP: c.opt.HTTP, PollInterval: c.opt.PollInterval,
-			Logger: c.opt.Logger},
+		cli: &server.Client{BaseURL: url, HTTP: c.opt.HTTP, Logger: c.opt.Logger},
 	}
 	b.healthy.Store(true)
 	c.backends = append(c.backends, b)
@@ -490,7 +501,7 @@ func (c *Coordinator) Probe(ctx context.Context) []BackendStatus {
 		wg.Add(1)
 		go func(i int, b *backend) {
 			defer wg.Done()
-			err := b.probe(ctx, c.httpClient())
+			err := b.probe(ctx, c.opt.HTTP)
 			st := BackendStatus{URL: b.url, Healthy: err == nil,
 				Draining: b.draining.Load(), Inflight: b.inflight.Load(),
 				Dispatched: b.dispatched.Value()}
@@ -502,13 +513,6 @@ func (c *Coordinator) Probe(ctx context.Context) []BackendStatus {
 	}
 	wg.Wait()
 	return out
-}
-
-func (c *Coordinator) httpClient() *http.Client {
-	if c.opt.HTTP != nil {
-		return c.opt.HTTP
-	}
-	return http.DefaultClient
 }
 
 func (c *Coordinator) probeLoop() {

@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,7 +50,6 @@ func newBackend(t *testing.T) *httptest.Server {
 
 func newCoordinator(t *testing.T, opt Options) *Coordinator {
 	t.Helper()
-	opt.PollInterval = 2 * time.Millisecond
 	if opt.BaseBackoff == 0 {
 		opt.BaseBackoff = time.Millisecond
 	}
@@ -147,7 +149,7 @@ func TestClusterParity(t *testing.T) {
 
 // flakyBackend wraps a real backend handler and fails the first `left`
 // sweep submissions: errors when hang is false, stalls until client
-// disconnect when true. Everything else (healthz, job polls) passes
+// disconnect when true. Everything else (healthz, job streams) passes
 // through, like a daemon that is reachable but misbehaving on work.
 type flakyBackend struct {
 	real    http.Handler
@@ -237,6 +239,127 @@ func TestFlakyBackendDoesNotFailSweep(t *testing.T) {
 	}
 	if got := intMetric(t, c, "failovers"); got < 1 {
 		t.Fatalf("failovers = %v, want >= 1", got)
+	}
+}
+
+// cutStream wraps a real backend and cuts its first `left` job streams
+// just before the end event: the cell events arrive, the outcome never
+// does, as when a daemon dies or a proxy drops the connection mid-job.
+type cutStream struct {
+	real http.Handler
+	mu   sync.Mutex
+	left int
+}
+
+func (c *cutStream) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if strings.HasSuffix(r.URL.Path, "/stream") {
+		c.mu.Lock()
+		cut := c.left > 0
+		if cut {
+			c.left--
+		}
+		c.mu.Unlock()
+		if cut {
+			w = endDropper{w}
+		}
+	}
+	c.real.ServeHTTP(w, r)
+}
+
+// endDropper swallows the stream's end event. The daemon writes each
+// event with one Write call.
+type endDropper struct{ http.ResponseWriter }
+
+func (d endDropper) Write(p []byte) (int, error) {
+	if bytes.HasPrefix(p, []byte(`{"type":"end"`)) {
+		return len(p), nil
+	}
+	return d.ResponseWriter.Write(p)
+}
+
+func (d endDropper) Flush() { d.ResponseWriter.(http.Flusher).Flush() }
+
+// TestCutStreamFailsOver: a backend whose job stream closes before its end
+// event costs one failover, not the sweep, and the result is still
+// byte-identical to a local run.
+func TestCutStreamFailsOver(t *testing.T) {
+	cutSim := server.New(server.Options{})
+	cut := &cutStream{real: cutSim.Handler(), left: 1}
+	cutTS := httptest.NewServer(cut)
+	t.Cleanup(func() {
+		cutTS.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		cutSim.Shutdown(ctx) //nolint:errcheck
+	})
+	// The cutting backend first so least-loaded tie-breaking sends the
+	// cell there.
+	c := newCoordinator(t, Options{Backends: []string{cutTS.URL, newBackend(t).URL}})
+	cells := []harness.Cell{{Key: "x", Cfg: testCfg("gcc", core.SchemeVISA)}}
+	remote, err := c.Run(cells, harness.Options{})
+	if err != nil {
+		t.Fatalf("sweep failed on a cut stream: %v", err)
+	}
+	if cut.left != 0 {
+		t.Fatal("no stream was cut")
+	}
+	if got := intMetric(t, c, "failovers"); got != 1 {
+		t.Fatalf("failovers = %v, want 1", got)
+	}
+	local, err := harness.Run(cells, harness.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rj, _ := json.Marshal(remote["x"])
+	lj, _ := json.Marshal(local["x"])
+	if !bytes.Equal(rj, lj) {
+		t.Fatal("result after a cut stream differs from local run")
+	}
+}
+
+// newFailingBackend boots a stub backend whose every job fails its one
+// cell with "simulated failure", reported on the job's stream. A daemon's
+// submit validation rejects every config the simulator would fail on, so
+// a stub stands in. The job ID is the cell key.
+func newFailingBackend(t *testing.T) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/sweeps":
+			var req server.SubmitRequest
+			json.NewDecoder(r.Body).Decode(&req) //nolint:errcheck
+			w.WriteHeader(http.StatusAccepted)
+			json.NewEncoder(w).Encode(server.SubmitResponse{ID: req.Cells[0].Key}) //nolint:errcheck
+		case "/healthz":
+		default: // GET /v1/jobs/{id}/stream
+			key := strings.TrimSuffix(strings.TrimPrefix(r.URL.Path, "/v1/jobs/"), "/stream")
+			enc := json.NewEncoder(w)
+			enc.Encode(server.StreamEvent{Type: "cell", //nolint:errcheck
+				Cell: &server.CellStatus{Key: key, Done: true, Error: "simulated failure"}})
+			enc.Encode(server.StreamEvent{Type: "end", State: server.StateFailed}) //nolint:errcheck
+		}
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestStreamedCellErrorIsPermanent: a cell error that arrives on the job
+// stream is the simulation's own verdict, so the coordinator neither
+// retries it nor fails it over to the healthy backend.
+func TestStreamedCellErrorIsPermanent(t *testing.T) {
+	failing, healthy := newFailingBackend(t), newBackend(t)
+	c := newCoordinator(t, Options{Backends: []string{failing.URL, healthy.URL}})
+	_, err := c.Run([]harness.Cell{{Key: "doomed", Cfg: testCfg("gcc", core.SchemeBase)}}, harness.Options{})
+	var ce *harness.CellError
+	if !errors.As(err, &ce) || ce.Key != "doomed" || !strings.Contains(ce.Error(), "simulated failure") {
+		t.Fatalf("err = %v, want the streamed failure of cell doomed", err)
+	}
+	if r, f := intMetric(t, c, "retries"), intMetric(t, c, "failovers"); r != 0 || f != 0 {
+		t.Fatalf("retries = %v, failovers = %v, want 0 and 0", r, f)
+	}
+	counts := backendDispatchCounts(t, c)
+	if counts[failing.URL] != 1 || counts[healthy.URL] != 0 {
+		t.Fatalf("dispatch counts = %v, want one attempt on the failing backend only", counts)
 	}
 }
 
@@ -444,5 +567,43 @@ func TestNewRejectsBadBackendLists(t *testing.T) {
 			c.Close()
 			t.Errorf("New(%q) succeeded", bad)
 		}
+	}
+}
+
+// TestCoordinatorReusesConnections pins the default transport: every
+// in-flight attempt holds a connection while it reads its job stream, so
+// the coordinator keeps one idle connection per worker instead of dialing
+// a backend afresh for most cells.
+func TestCoordinatorReusesConnections(t *testing.T) {
+	s := server.New(server.Options{})
+	var dials atomic.Int64
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		s.Shutdown(ctx) //nolint:errcheck
+	})
+	const workers = 4
+	c := newCoordinator(t, Options{Backends: []string{ts.URL}, Workers: workers})
+	var cells []harness.Cell
+	for i := 0; i < 6*workers; i++ {
+		cfg := testCfg("gcc", core.SchemeBase)
+		cfg.MaxInstructions = 2000 + uint64(i)
+		cells = append(cells, harness.Cell{Key: fmt.Sprint(i), Cfg: cfg})
+	}
+	for pass := 0; pass < 2; pass++ { // cold, then warm
+		if _, err := c.Run(cells, harness.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := dials.Load(); n > workers {
+		t.Fatalf("coordinator opened %d connections for %d workers", n, workers)
 	}
 }

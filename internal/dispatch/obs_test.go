@@ -37,7 +37,7 @@ func TestSweepCorrelationAcrossLayers(t *testing.T) {
 
 	ctx, sweep := obs.EnsureSweep(context.Background())
 
-	cli := &server.Client{BaseURL: ts.URL, PollInterval: 2 * time.Millisecond,
+	cli := &server.Client{BaseURL: ts.URL,
 		Logger: newLogger(&bufClient)}
 	if _, err := cli.RunContext(ctx, []harness.Cell{
 		{Key: "direct", Cfg: testCfg("gcc", core.SchemeBase)},

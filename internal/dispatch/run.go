@@ -300,8 +300,8 @@ func keyedError(key string, err error) error {
 // permanent reports whether retrying err elsewhere is pointless: the
 // backend executed the cell and the simulation itself failed (determinism
 // means every backend fails it identically), or the request was rejected
-// as malformed. Transport errors, timeouts, 5xx and shutdown races are all
-// retryable.
+// as malformed. Transport errors, timeouts, 5xx, shutdown races and a job
+// stream cut before its end event are all retryable.
 func permanent(err error) bool {
 	var ce *harness.CellError
 	if errors.As(err, &ce) {

@@ -80,7 +80,7 @@ func (r SubmitRequest) Resolve() ([]harness.Cell, []string, error) {
 
 // SubmitResponse acknowledges an accepted sweep.
 type SubmitResponse struct {
-	// ID identifies the job for polling.
+	// ID identifies the job.
 	ID string `json:"id"`
 	// Sweep is the correlation ID the job runs under: the submission's
 	// obs.SweepHeader value when present and valid, otherwise minted at
@@ -88,10 +88,10 @@ type SubmitResponse struct {
 	Sweep string `json:"sweep,omitempty"`
 	// Cells echoes the number of accepted cells.
 	Cells int `json:"cells"`
-	// Job is the poll URL for the job ("/v1/jobs/{id}").
+	// Job is the job's status URL ("/v1/jobs/{id}").
 	Job string `json:"job"`
-	// Stream is the NDJSON event-stream URL ("/v1/jobs/{id}/stream");
-	// empty from a coordinator, which serves no streams.
+	// Stream is the NDJSON event-stream URL ("/v1/jobs/{id}/stream"),
+	// served by daemons and coordinators alike; Client.Wait reads it.
 	Stream string `json:"stream"`
 }
 
@@ -139,9 +139,14 @@ type JobStatus struct {
 	Error string `json:"error,omitempty"`
 }
 
-// StreamEvent is one NDJSON line of GET /v1/jobs/{id}/stream: a "cell"
-// event per resolved cell as it resolves, then a final "end" event carrying
-// the job's terminal state.
+// StreamEvent is one NDJSON line of GET /v1/jobs/{id}/stream: one "cell"
+// event per cell of the job, then a final "end" event carrying the job's
+// terminal state. A daemon sends each cell as it resolves; a coordinator
+// sends them all when the sweep resolves. Cells the job never resolved
+// (canceled, or skipped after a coordinator's first failure) arrive with
+// Done false just before the end, so the events carry everything
+// GET /v1/jobs/{id} reports. A stream that closes before its end event
+// was cut; the job's outcome is unknown to the reader.
 type StreamEvent struct {
 	Type string `json:"type"` // "cell" or "end"
 	// Cell is set on "cell" events.

@@ -20,10 +20,11 @@ import (
 )
 
 // Client runs sweeps against a visasimd daemon or a visasimcoord
-// coordinator — both serve the same POST /v1/sweeps and GET /v1/jobs/{id}
-// contract. Its Run and RunStats methods mirror harness.Run /
-// harness.RunStats, so callers (notably experiments.Params.Runner) can swap
-// local execution for the service — and its cache — without other changes.
+// coordinator — both serve the same POST /v1/sweeps and
+// GET /v1/jobs/{id}/stream contract. Its Run and RunStats methods mirror
+// harness.Run / harness.RunStats, so callers (notably
+// experiments.Params.Runner) can swap local execution for the service — and
+// its cache — without other changes.
 // A priority class carried by the context (cluster.WithClass) travels in
 // the cluster.ClassHeader header; the coordinator schedules by it and a
 // daemon ignores it.
@@ -32,8 +33,6 @@ type Client struct {
 	BaseURL string
 	// HTTP is the transport (http.DefaultClient when nil).
 	HTTP *http.Client
-	// PollInterval spaces job polls (50ms when 0).
-	PollInterval time.Duration
 	// Timeout bounds one Run/RunStats call end to end — submit plus the
 	// wait for the job to reach a terminal state. Zero means no deadline;
 	// set one so a wedged daemon fails the sweep instead of hanging it.
@@ -67,13 +66,6 @@ func (c *Client) http() *http.Client {
 		return c.HTTP
 	}
 	return http.DefaultClient
-}
-
-func (c *Client) poll() time.Duration {
-	if c.PollInterval > 0 {
-		return c.PollInterval
-	}
-	return 50 * time.Millisecond
 }
 
 // HTTPError is a non-2xx daemon response. Carrying the status code lets
@@ -255,8 +247,8 @@ func (c *Client) submitOnce(ctx context.Context, sweep string, blob []byte, cell
 	return ack, nil
 }
 
-// Job fetches a job's current status. The request is canceled when ctx
-// expires.
+// Job fetches a job's current status — a read-only snapshot for tools;
+// waiting is Wait's job. The request is canceled when ctx expires.
 func (c *Client) Job(ctx context.Context, id string) (JobStatus, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id, nil)
 	if err != nil {
@@ -277,24 +269,59 @@ func (c *Client) Job(ctx context.Context, id string) (JobStatus, error) {
 	return st, nil
 }
 
-// Wait polls the job until it reaches a terminal state or ctx expires,
-// whichever comes first; an expired context is returned as an error (and
-// cancels any in-flight poll) rather than waiting forever on a job the
-// daemon never finishes.
+// Wait reads the job's event stream (GET /v1/jobs/{id}/stream) until its
+// end event and returns the status the events describe: the cell events
+// give Cells (in stream order) and CacheHits, the end event State and
+// Error. It returns as soon as the server reports the end — there is no
+// timer between a job finishing and Wait noticing. An expired ctx ends the
+// wait with an error wrapping ctx.Err(); a stream that ends before its end
+// event is a plain error, so callers may retry the job elsewhere.
 func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
+	st, err := c.readStream(ctx, id)
+	if err != nil && ctx.Err() != nil {
+		return JobStatus{}, fmt.Errorf("server: waiting for job %s: %w", id, ctx.Err())
+	}
+	return st, err
+}
+
+// readStream is Wait without the context-error wrapping.
+func (c *Client) readStream(ctx context.Context, id string) (JobStatus, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id+"/stream", nil)
+	if err != nil {
+		return JobStatus{}, err
+	}
+	resp, err := c.http().Do(req)
+	if err != nil {
+		return JobStatus{}, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return JobStatus{}, decodeError(resp)
+	}
+	st := JobStatus{ID: id}
+	dec := json.NewDecoder(resp.Body)
 	for {
-		st, err := c.Job(ctx, id)
-		if err != nil {
-			return JobStatus{}, err
+		var ev StreamEvent
+		if err := dec.Decode(&ev); err != nil {
+			if errors.Is(err, io.EOF) {
+				err = io.ErrUnexpectedEOF
+			}
+			return JobStatus{}, fmt.Errorf("server: stream of job %s ended before its end event: %w", id, err)
 		}
-		switch st.State {
-		case StateDone, StateFailed, StateCanceled:
+		switch ev.Type {
+		case "cell":
+			if ev.Cell == nil {
+				return JobStatus{}, fmt.Errorf("server: stream of job %s sent a cell event without a cell", id)
+			}
+			st.Cells = append(st.Cells, *ev.Cell)
+			if ev.Cell.Done && ev.Cell.CacheHit {
+				st.CacheHits++
+			}
+		case "end":
+			st.State, st.Error = ev.State, ev.Error
+			// Read to EOF so the connection goes back to the pool.
+			io.Copy(io.Discard, resp.Body) //nolint:errcheck // the status is complete
 			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return JobStatus{}, fmt.Errorf("server: waiting for job %s: %w", id, ctx.Err())
-		case <-time.After(c.poll()):
 		}
 	}
 }
@@ -332,8 +359,8 @@ func (c *Client) Run(cells []harness.Cell, opt harness.Options) (harness.Results
 }
 
 // RunContext is Run bounded by ctx: canceling ctx aborts the submit or the
-// poll loop immediately, so a coordinator or CLI abort actually stops the
-// sweep instead of letting it poll to completion in the background.
+// wait immediately, so a coordinator or CLI abort actually stops the
+// sweep instead of waiting for it to complete in the background.
 func (c *Client) RunContext(ctx context.Context, cells []harness.Cell, opt harness.Options) (harness.Results, error) {
 	res, _, err := c.RunStatsContext(ctx, cells, opt)
 	return res, err

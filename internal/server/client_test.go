@@ -2,10 +2,15 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,7 +22,7 @@ import (
 func newTestClient(t *testing.T) *Client {
 	t.Helper()
 	_, ts := newTestServer(t, Options{})
-	return &Client{BaseURL: ts.URL, PollInterval: 5 * time.Millisecond}
+	return &Client{BaseURL: ts.URL}
 }
 
 // TestClientMatchesLocalRun proves the client is a drop-in harness.Run
@@ -78,6 +83,15 @@ func TestClientSubmitErrors(t *testing.T) {
 	}
 }
 
+// wedgedStream is the stream route of a daemon that never finishes a job:
+// it sends the headers, then no event until the client goes away.
+func wedgedStream(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	w.(http.Flusher).Flush()
+	<-r.Context().Done()
+}
+
 // TestWaitDeadline pins that a daemon which never finishes a job cannot
 // hang the client: Wait honours its context and Client.Timeout bounds a
 // whole RunStats call. A stub server stands in for the wedged daemon.
@@ -89,10 +103,11 @@ func TestWaitDeadline(t *testing.T) {
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, JobStatus{ID: "job-1", State: StateRunning})
 	})
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", wedgedStream)
 	stub := httptest.NewServer(mux)
 	defer stub.Close()
 
-	cli := &Client{BaseURL: stub.URL, PollInterval: time.Millisecond}
+	cli := &Client{BaseURL: stub.URL}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	if _, err := cli.Wait(ctx, "job-1"); !errors.Is(err, context.DeadlineExceeded) {
@@ -103,6 +118,146 @@ func TestWaitDeadline(t *testing.T) {
 	cells := []harness.Cell{{Key: "c", Cfg: testCfg("gcc", core.SchemeBase)}}
 	if _, _, err := cli.RunStats(cells, harness.Options{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("RunStats with Timeout returned %v, want deadline exceeded", err)
+	}
+}
+
+// TestWaitCutStream pins that a stream closing before its end event is an
+// error, not a status: the job's outcome is unknown to the reader.
+func TestWaitCutStream(t *testing.T) {
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(StreamEvent{Type: "cell", //nolint:errcheck
+			Cell: &CellStatus{Key: "c", Done: true}})
+	}))
+	defer stub.Close()
+	cli := &Client{BaseURL: stub.URL}
+	st, err := cli.Wait(context.Background(), "job-1")
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Wait on a cut stream = %+v, %v; want an unexpected-EOF error", st, err)
+	}
+	var he *HTTPError
+	if errors.As(err, &he) {
+		t.Fatalf("cut stream reported as HTTP error %v", he)
+	}
+}
+
+// pathRecorder is a transport that remembers the method and path of every
+// request it carries.
+type pathRecorder struct {
+	mu    sync.Mutex
+	paths []string
+}
+
+func (pr *pathRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
+	pr.mu.Lock()
+	pr.paths = append(pr.paths, req.Method+" "+req.URL.Path)
+	pr.mu.Unlock()
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestWaitMatchesJob pins that the status Wait builds from a job's events
+// equals GET /v1/jobs/{id} once cells are matched by key, for a done job
+// (one fresh cell, one cache hit), a failed job (one cell failing beside a
+// good one) and a job Shutdown cancels before it runs — and that Wait
+// never reads the status endpoint.
+func TestWaitMatchesJob(t *testing.T) {
+	s, ts := newTestServer(t, Options{JobWorkers: 1})
+	rec := &pathRecorder{}
+	cli := &Client{BaseURL: ts.URL, HTTP: &http.Client{Transport: rec}}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	submitCells := func(cells ...harness.Cell) string {
+		t.Helper()
+		ack, err := cli.Submit(ctx, cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ack.ID
+	}
+	type waited struct {
+		st  JobStatus
+		err error
+	}
+	waitAsync := func(id string) <-chan waited {
+		ch := make(chan waited, 1)
+		go func() {
+			st, err := cli.Wait(ctx, id)
+			ch <- waited{st, err}
+		}()
+		return ch
+	}
+	byKey := func(st JobStatus) JobStatus {
+		sort.Slice(st.Cells, func(i, j int) bool { return st.Cells[i].Key < st.Cells[j].Key })
+		return st
+	}
+	check := func(name string, w waited, id, state string, hits int) {
+		t.Helper()
+		if w.err != nil {
+			t.Fatalf("%s: Wait: %v", name, w.err)
+		}
+		job := getJob(t, ts, id)
+		if w.st.State != state || w.st.CacheHits != hits {
+			t.Errorf("%s: Wait state %s with %d cache hits, want %s with %d", name, w.st.State, w.st.CacheHits, state, hits)
+		}
+		if got, want := byKey(w.st), byKey(job); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Wait status differs from Job\nwait: %+v\njob:  %+v", name, got, want)
+		}
+	}
+
+	warm := testCfg("gcc", core.SchemeBase)
+	<-waitAsync(submitCells(harness.Cell{Key: "warm", Cfg: warm}))
+	done := submitCells(harness.Cell{Key: "hit", Cfg: warm}, harness.Cell{Key: "fresh", Cfg: testCfg("gcc", core.SchemeVISA)})
+	check("done", <-waitAsync(done), done, StateDone, 1)
+
+	// Gate the failing job's first cell on a cache entry the test leads,
+	// so that job holds the only job worker while the next one queues and
+	// Shutdown cancels it.
+	gated, err := testCfg("eon", core.SchemeBase).Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := gated.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, leader := s.cache.claim(hash)
+	if !leader {
+		t.Fatal("test could not claim the gate entry")
+	}
+	failed := submitCells(harness.Cell{Key: "gated", Cfg: gated}, harness.Cell{Key: "ok", Cfg: warm})
+	canceled := submitCells(harness.Cell{Key: "queued", Cfg: testCfg("vpr", core.SchemeBase)})
+	for getJob(t, ts, failed).State != StateRunning {
+		if ctx.Err() != nil {
+			t.Fatal("gated job never started running")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	failedWait, canceledWait := waitAsync(failed), waitAsync(canceled)
+	shutdown := make(chan error, 1)
+	go func() { shutdown <- s.Shutdown(ctx) }()
+	for {
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusServiceUnavailable {
+			break
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	s.cache.fail(hash, entry, errors.New("gate failed"))
+	if err := <-shutdown; err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	// Both of the failed job's cells shared a resolved entry: "ok" the
+	// warm result, "gated" the test-led entry's failure.
+	check("failed", <-failedWait, failed, StateFailed, 2)
+	check("canceled", <-canceledWait, canceled, StateCanceled, 0)
+
+	for _, p := range rec.paths {
+		if strings.HasPrefix(p, "GET /v1/jobs/") && !strings.HasSuffix(p, "/stream") {
+			t.Errorf("Wait read the job status endpoint: %s", p)
+		}
 	}
 }
 

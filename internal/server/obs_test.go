@@ -75,7 +75,7 @@ func TestPromMetricsEndpoint(t *testing.T) {
 
 // TestClientHonorsCancellation pins the satellite fix: a canceled caller
 // context aborts RunContext/RunStatsContext promptly even while the daemon
-// reports the job forever-running, instead of polling to completion.
+// reports the job forever-running, instead of waiting to completion.
 func TestClientHonorsCancellation(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
@@ -84,10 +84,11 @@ func TestClientHonorsCancellation(t *testing.T) {
 	mux.HandleFunc("GET /v1/jobs/job-1", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, JobStatus{ID: "job-1", State: StateRunning})
 	})
+	mux.HandleFunc("GET /v1/jobs/job-1/stream", wedgedStream)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 
-	cli := &Client{BaseURL: ts.URL, PollInterval: 5 * time.Millisecond}
+	cli := &Client{BaseURL: ts.URL}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(30 * time.Millisecond)
@@ -122,10 +123,11 @@ func TestClientTimeoutStillBounds(t *testing.T) {
 	mux.HandleFunc("GET /v1/jobs/job-1", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, JobStatus{ID: "job-1", State: StateRunning})
 	})
+	mux.HandleFunc("GET /v1/jobs/job-1/stream", wedgedStream)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 
-	cli := &Client{BaseURL: ts.URL, PollInterval: 5 * time.Millisecond, Timeout: 50 * time.Millisecond}
+	cli := &Client{BaseURL: ts.URL, Timeout: 50 * time.Millisecond}
 	done := make(chan error, 1)
 	go func() {
 		_, _, err := cli.RunStats([]harness.Cell{

@@ -3,13 +3,13 @@
 // result cache, and expvar-based metrics.
 //
 // Clients POST sweep cells (core.Config values, the same shape the harness
-// runs) to /v1/sweeps, receive a job ID, and poll /v1/jobs/{id} or stream
-// /v1/jobs/{id}/stream for results. Each cell is content-addressed by
-// core.Config.Hash — the SHA-256 of its canonical configuration — and the
-// simulator is deterministic, so a cached core.Result is byte-identical to
-// a fresh run and can be served without re-simulating. Concurrent identical
-// cells share a single simulation (single-flight); see DESIGN.md §7 for the
-// soundness argument.
+// runs) to /v1/sweeps, receive a job ID, and read /v1/jobs/{id}/stream for
+// results as they resolve (GET /v1/jobs/{id} is a status snapshot). Each
+// cell is content-addressed by core.Config.Hash — the SHA-256 of its
+// canonical configuration — and the simulator is deterministic, so a cached
+// core.Result is byte-identical to a fresh run and can be served without
+// re-simulating. Concurrent identical cells share a single simulation
+// (single-flight); see DESIGN.md §7 for the soundness argument.
 //
 // Execution is a two-level bounded pool: Options.JobWorkers jobs run
 // concurrently, and across all of them Options.SimWorkers simulations may be
@@ -49,7 +49,7 @@ type Options struct {
 	// with 503 (64 when 0).
 	QueueDepth int
 	// JobHistory bounds how many terminal (done/failed/canceled) jobs the
-	// server keeps for polling (256 when 0). Older terminal jobs are
+	// server keeps for status reads (256 when 0). Older terminal jobs are
 	// evicted oldest-first and their IDs 404; their results stay reachable
 	// through the content-addressed cache, so a long-running daemon does
 	// not grow with every submission.
@@ -254,9 +254,9 @@ func (s *Server) worker() {
 }
 
 func (s *Server) cancelJob(j *job) {
-	// Log before publishing the terminal state: a client that polls the job
-	// to completion may tear down its log sink the moment the state flips,
-	// so the write has to land first.
+	// Log before publishing the terminal state: a client that waits on the
+	// job may tear down its log sink the moment the state flips, so the
+	// write has to land first.
 	s.met.jobsCanceled.Add(1)
 	s.log.Warn("job canceled", "sweep", j.sweep, "job", j.id,
 		"reason", "shutdown before the job ran")
@@ -417,9 +417,9 @@ func (s *Server) runJob(j *job) {
 	} else {
 		s.met.jobsDone.Add(1)
 	}
-	// Log before publishing the terminal state: a client that polls the job
-	// to completion may tear down its log sink the moment the state flips,
-	// so the write has to land first.
+	// Log before publishing the terminal state: a client that waits on the
+	// job may tear down its log sink the moment the state flips, so the
+	// write has to land first.
 	s.log.Info("job finished", "sweep", j.sweep, "job", j.id,
 		"state", state, "cells", len(j.cells), "cache_hits", hits)
 
@@ -711,8 +711,11 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStream writes NDJSON StreamEvents: one "cell" event as each cell
-// resolves (cache hits arrive immediately, fresh runs as they finish), then
-// an "end" event with the job's terminal state.
+// resolves (cache hits arrive immediately, fresh runs as they finish), then,
+// once the job is terminal, one for each cell that never resolved (a
+// canceled job's), then an "end" event with the job's terminal state. The
+// events carry everything GET /v1/jobs/{id} reports, so Client.Wait needs
+// no status read after the stream.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
@@ -731,9 +734,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		state := j.state
 		jerr := j.err
 		changed := j.changed
+		terminal := state == StateDone || state == StateFailed || state == StateCanceled
 		var fresh []jobCell
 		for i := range j.cells {
-			if j.cells[i].done && !sent[i] {
+			if !sent[i] && (j.cells[i].done || terminal) {
 				sent[i] = true
 				fresh = append(fresh, j.cells[i])
 			}
@@ -746,7 +750,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		if state == StateDone || state == StateFailed || state == StateCanceled {
+		if terminal {
 			enc.Encode(StreamEvent{Type: "end", State: state, Error: jerr}) //nolint:errcheck
 			return
 		}

@@ -172,7 +172,7 @@ func TestClientBacksOffOn429(t *testing.T) {
 		{Key: "gcc", Cfg: testCfg("gcc", core.SchemeBase)},
 		{Key: "mcf", Cfg: testCfg("mcf", core.SchemeVISA)},
 	}
-	cl := &Client{BaseURL: front.URL, APIKey: "pk", PollInterval: 2 * time.Millisecond,
+	cl := &Client{BaseURL: front.URL, APIKey: "pk",
 		Timeout: 2 * time.Minute}
 	t0 := time.Now()
 	got, err := cl.Run(cells, harness.Options{})

@@ -38,15 +38,12 @@ JOB=$(curl -sf "http://$ADDR/v1/sweeps" \
     | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
 [ -n "$JOB" ] || { echo "obs-smoke: submit returned no job ID"; cat "$LOG"; exit 1; }
 
-for i in $(seq 1 150); do
-    STATE=$(curl -sf "http://$ADDR/v1/jobs/$JOB" | sed -n 's/.*"state":"\([^"]*\)".*/\1/p')
-    case "$STATE" in
-        done) break ;;
-        failed|canceled) echo "obs-smoke: job ended $STATE"; cat "$LOG"; exit 1 ;;
-    esac
-    [ "$i" = 150 ] && { echo "obs-smoke: job never finished"; cat "$LOG"; exit 1; }
-    sleep 0.2
-done
+# Wait on the job's event stream; its last line is the end event.
+STREAM="$TMP/stream.ndjson"
+curl -sfN --max-time 30 "http://$ADDR/v1/jobs/$JOB/stream" >"$STREAM" || {
+    echo "obs-smoke: job stream failed or never ended"; cat "$STREAM" "$LOG"; exit 1; }
+tail -n 1 "$STREAM" | grep -qF '{"type":"end","state":"done"}' || {
+    echo "obs-smoke: job did not end done: $(tail -n 1 "$STREAM")"; cat "$LOG"; exit 1; }
 
 PROM="$TMP/metrics.prom"
 curl -sf "http://$ADDR/metrics/prom" >"$PROM"
