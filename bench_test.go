@@ -596,8 +596,7 @@ func newBenchProcessor(b *testing.B, names []string) *pipeline.Processor {
 		if err != nil {
 			b.Fatal(err)
 		}
-		prof.Apply(prog)
-		streams[i] = trace.NewStream(trace.NewExecutor(prog, w.Params.Seed, i), prof.Bits)
+		streams[i] = trace.NewStream(trace.NewExecutor(prog, w.Params.Seed, i), prof.Tag, prof.Bits)
 	}
 	proc, err := pipeline.New(pipeline.Params{
 		Machine:         config.Default(),

@@ -34,7 +34,6 @@ func cmdACE(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	prof.Apply(prog)
 
 	exec := trace.NewExecutor(prog, b.Params.Seed, 0)
 	var d trace.DynInst
@@ -50,7 +49,7 @@ func cmdACE(args []string) {
 			truth = "ACE"
 		}
 		tag := "-"
-		if d.Static.ACETag {
+		if prof.Tag[prog.IndexOf(d.Static.PC)] {
 			tag = "ACE"
 		}
 		addr := ""

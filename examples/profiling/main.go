@@ -31,14 +31,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		prof.Apply(prog)
 
 		// Count per-kind tag composition.
 		var taggedByKind, totalByKind [isa.NumKinds]int
 		for i := range prog.Instrs {
 			k := prog.Instrs[i].Kind
 			totalByKind[k]++
-			if prog.Instrs[i].ACETag {
+			if prof.Tag[i] {
 				taggedByKind[k]++
 			}
 		}

@@ -12,7 +12,8 @@ import (
 // Profile is the result of an offline vulnerability-profiling run over one
 // program (§2.1 of the paper): ground-truth per-instance ACE-ness for the
 // profiled prefix of the dynamic stream, plus the per-PC 1-bit ACE tags the
-// proposed hardware reads from the extended ISA.
+// proposed hardware reads from the extended ISA (a trace.Stream carries them
+// to fetch).
 type Profile struct {
 	// Bits holds ground-truth ACE-ness per dynamic instruction (by
 	// commit sequence number) for the profiled prefix. Profiles derived
@@ -170,6 +171,7 @@ func (pr *Profiler) Profile(prog *program.Program, n uint64) (*Profile, error) {
 			p.DynACE++
 		}
 	}
+	exec.Recycle()
 	return p, nil
 }
 
@@ -217,13 +219,6 @@ func (pr *Profiler) analyse(prog *program.Program, horizon uint64) *analysis {
 			lastMark = streamed
 		}
 	}
+	exec.Recycle()
 	return out
-}
-
-// Apply writes the profile's per-PC tags into prog's instruction image
-// (the paper's 1-bit ISA extension).
-func (p *Profile) Apply(prog *program.Program) {
-	for i := range prog.Instrs {
-		prog.Instrs[i].ACETag = p.Tag[i]
-	}
 }

@@ -104,21 +104,6 @@ func TestProfileAccuracyMatchesDefinition(t *testing.T) {
 	}
 }
 
-func TestApplyWritesTags(t *testing.T) {
-	b := workload.MustGet("gap")
-	prog, _ := b.Generate()
-	p, err := Run(prog, b.Params.Seed, 0, 20_000, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Apply(prog)
-	for i := range prog.Instrs {
-		if prog.Instrs[i].ACETag != p.Tag[i] {
-			t.Fatalf("instr %d tag not applied", i)
-		}
-	}
-}
-
 func TestRunRejectsZeroLength(t *testing.T) {
 	b := workload.MustGet("gcc")
 	prog, _ := b.Generate()

@@ -11,6 +11,7 @@ import (
 	"math/bits"
 
 	"visasim/internal/config"
+	"visasim/internal/recycle"
 )
 
 // Checkpoint captures the speculative predictor state at a branch so a
@@ -48,14 +49,21 @@ type btbEntry struct {
 	used   uint64
 }
 
+// phts and btbs recycle predictor tables across simulations (see package
+// recycle).
+var (
+	phts recycle.Slices[uint8]
+	btbs recycle.Slices[btbEntry]
+)
+
 // New builds a predictor for nthreads contexts.
 func New(cfg config.BranchConfig, nthreads int) *Predictor {
 	sets := cfg.BTBEntries / cfg.BTBAssoc
 	p := &Predictor{
 		cfg:      cfg,
-		pht:      make([]uint8, cfg.GshareEntries),
+		pht:      phts.Get(cfg.GshareEntries),
 		history:  make([]uint32, nthreads),
-		btb:      make([]btbEntry, cfg.BTBEntries),
+		btb:      btbs.Get(cfg.BTBEntries),
 		btbAssoc: cfg.BTBAssoc,
 		btbMask:  uint64(sets - 1),
 		ras:      make([][]uint64, nthreads),
@@ -68,6 +76,15 @@ func New(cfg config.BranchConfig, nthreads int) *Predictor {
 		p.ras[t] = make([]uint64, cfg.RASEntries)
 	}
 	return p
+}
+
+// Recycle hands the PHT and BTB to the next predictor built in the
+// process. The predictor must not be used afterwards; its statistics stay
+// readable.
+func (p *Predictor) Recycle() {
+	phts.Put(p.pht)
+	btbs.Put(p.btb)
+	p.pht, p.btb = nil, nil
 }
 
 func (p *Predictor) phtIndex(thread int, pc uint64) int {

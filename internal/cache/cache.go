@@ -11,8 +11,10 @@ package cache
 
 import (
 	"math/bits"
+	"sync"
 
 	"visasim/internal/config"
+	"visasim/internal/recycle"
 )
 
 // Level identifies the deepest level that satisfied an access.
@@ -43,6 +45,13 @@ type line struct {
 	used  uint64 // LRU timestamp
 }
 
+// lines recycles cache and TLB line arrays across simulations (see package
+// recycle), and pendings the caches' (cleared) outstanding-fill maps.
+var (
+	lines    recycle.Slices[line]
+	pendings = sync.Pool{New: func() any { return make(map[uint64]pendingFill) }}
+)
+
 // Cache is one set-associative cache level.
 type Cache struct {
 	cfg      config.CacheConfig
@@ -70,11 +79,11 @@ func NewCache(cfg config.CacheConfig) *Cache {
 	}
 	return &Cache{
 		cfg:      cfg,
-		sets:     make([]line, cfg.Sets()*cfg.Assoc),
+		sets:     lines.Get(cfg.Sets() * cfg.Assoc),
 		assoc:    cfg.Assoc,
 		setShift: uint(bits.TrailingZeros64(uint64(cfg.LineBytes))),
 		setMask:  uint64(cfg.Sets() - 1),
-		pending:  make(map[uint64]pendingFill),
+		pending:  pendings.Get().(map[uint64]pendingFill),
 	}
 }
 
@@ -198,7 +207,7 @@ func NewTLB(cfg config.TLBConfig) *TLB {
 	}
 	return &TLB{
 		cfg:       cfg,
-		sets:      make([]line, cfg.Entries),
+		sets:      lines.Get(cfg.Entries),
 		assoc:     cfg.Assoc,
 		pageShift: uint(bits.TrailingZeros64(uint64(cfg.PageBytes))),
 		setMask:   uint64(cfg.Sets() - 1),

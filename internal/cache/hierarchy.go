@@ -44,6 +44,22 @@ func NewHierarchy(m config.Machine) *Hierarchy {
 	}
 }
 
+// Recycle hands every level's line array and outstanding-fill map to the
+// next hierarchy built in the process. The hierarchy must not be accessed
+// afterwards; its statistics stay readable.
+func (h *Hierarchy) Recycle() {
+	for _, c := range []*Cache{h.L1I, h.L1D, h.L2} {
+		lines.Put(c.sets)
+		clear(c.pending)
+		pendings.Put(c.pending)
+		c.sets, c.pending = nil, nil
+	}
+	for _, t := range []*TLB{h.ITLB, h.DTLB} {
+		lines.Put(t.sets)
+		t.sets = nil
+	}
+}
+
 // Fetch performs an instruction fetch access at pc.
 func (h *Hierarchy) Fetch(pc uint64, now uint64) Result {
 	return h.access(h.L1I, h.ITLB, pc, now, false, false)

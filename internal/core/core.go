@@ -11,9 +11,11 @@
 //	        MaxInstructions: 400_000,
 //	})
 //
-// Offline profiles are cached per (benchmark, budget, window) so sweeps
-// over schemes and policies reuse them, and every budget of a benchmark
-// derives its profile from one shared ACE analysis per (benchmark, window).
+// Each benchmark's program is generated once per process and shared
+// read-only. Every budget of a benchmark derives its profile from one shared
+// ACE analysis per (benchmark, window), and the cells of a sweep reuse each
+// (benchmark, budget, window)'s per-PC tags, which are all the cache keeps of
+// a profile besides the shared bits and two summary figures.
 package core
 
 import (
@@ -209,8 +211,8 @@ func (r *Result) CombinedTagAccuracy() float64 {
 	return matches / total
 }
 
-// profileKey identifies one per-budget entry of the profile cache.
-type profileKey struct {
+// budgetKey identifies one per-budget entry of the profile cache.
+type budgetKey struct {
 	bench  string
 	n      uint64
 	window int
@@ -224,48 +226,73 @@ type analysisKey struct {
 	window int
 }
 
-// profileEntry is one key's generated program with its profiled ACE tags
-// applied, plus the profile it was tagged from.
-type profileEntry struct {
+// programEntry is one benchmark's generated program. Generation is
+// deterministic per benchmark and nothing writes to the program (executors
+// only read it, and the ACE tags travel with each stream, not in the
+// instruction image), so one program serves every budget, thread slot and
+// goroutine.
+type programEntry struct {
 	once sync.Once
 	prog *program.Program
-	prof *ace.Profile
 	err  error
 }
 
+// budgetEntry is what a cell reads of one budget's profile: the shared
+// program, the per-PC tags, the shared bit prefix and two summary figures.
+// The per-PC instance counts the tags were derived from are not kept.
+type budgetEntry struct {
+	once     sync.Once
+	prog     *program.Program
+	tags     []bool
+	bits     *trace.BitSet
+	aceFrac  float64
+	accuracy float64
+	err      error
+}
+
 var (
-	profileMu    sync.Mutex
-	profileCache = map[profileKey]*profileEntry{}
-	profilers    = map[analysisKey]*ace.Profiler{}
+	cacheMu   sync.Mutex
+	programs  = map[string]*programEntry{}
+	profilers = map[analysisKey]*ace.Profiler{}
+	budgets   = map[budgetKey]*budgetEntry{}
 )
 
 // profileSlack covers in-flight instructions beyond the commit budget.
 const profileSlack = 4096
 
-// ProfileFor returns the (cached) offline vulnerability profile of bench
-// covering at least n dynamic instructions with the given analysis window.
-// Concurrent callers for the same key share one profiling pass.
+// ProfileFor returns the offline vulnerability profile of bench covering
+// at least n dynamic instructions with the given analysis window. It builds
+// the full profile, per-PC instance counts included, on each call, from the
+// benchmark's shared program and shared ACE analysis: neither is generated
+// or analysed again for a length the analysis already covers. The profile
+// shares the analysis's bit storage, so it is read-only.
 func ProfileFor(bench workload.Benchmark, n uint64, window int) (*ace.Profile, error) {
-	_, prof, err := taggedProgramFor(bench, n, window)
-	return prof, err
+	prog, err := programFor(bench)
+	if err != nil {
+		return nil, err
+	}
+	return profilerFor(bench, window).Profile(prog, n)
 }
 
-// taggedProgramFor returns the (cached) generated program for bench with
-// the offline profile's ACE tags applied, and that profile. Program
-// generation and tag application are deterministic per key, executors never
-// mutate the program, and the address-space tag is applied per thread at
-// execution — so one tagged program safely serves every thread slot of
-// every cell in a sweep. Each key generates its program once, and concurrent
-// callers for the same key share that pass. The profile comes from the
-// benchmark's shared analysis, which only runs again for a longer prefix.
-func taggedProgramFor(bench workload.Benchmark, n uint64, window int) (*program.Program, *ace.Profile, error) {
-	profileMu.Lock()
-	key := profileKey{bench.Name, n, window}
-	e, ok := profileCache[key]
+// programFor returns bench's shared program, generating it on first use.
+// Concurrent first callers share one generation.
+func programFor(bench workload.Benchmark) (*program.Program, error) {
+	cacheMu.Lock()
+	e, ok := programs[bench.Name]
 	if !ok {
-		e = &profileEntry{}
-		profileCache[key] = e
+		e = &programEntry{}
+		programs[bench.Name] = e
 	}
+	cacheMu.Unlock()
+	e.once.Do(func() { e.prog, e.err = bench.Generate() })
+	return e.prog, e.err
+}
+
+// profilerFor returns the shared ACE analysis of bench with the given
+// window.
+func profilerFor(bench workload.Benchmark, window int) *ace.Profiler {
+	cacheMu.Lock()
+	defer cacheMu.Unlock()
 	akey := analysisKey{bench.Name, window}
 	pr, ok := profilers[akey]
 	if !ok {
@@ -275,23 +302,37 @@ func taggedProgramFor(bench workload.Benchmark, n uint64, window int) (*program.
 		pr = ace.NewProfiler(bench.Params.Seed, 0, window)
 		profilers[akey] = pr
 	}
-	profileMu.Unlock()
+	return pr
+}
+
+// budgetFor returns the (cached) cell inputs of bench's profile covering n
+// instructions with the given window. Each key profiles once, and
+// concurrent callers for the same key share that pass.
+func budgetFor(bench workload.Benchmark, n uint64, window int) (*budgetEntry, error) {
+	cacheMu.Lock()
+	key := budgetKey{bench.Name, n, window}
+	e, ok := budgets[key]
+	if !ok {
+		e = &budgetEntry{}
+		budgets[key] = e
+	}
+	cacheMu.Unlock()
 
 	e.once.Do(func() {
-		prog, err := bench.Generate()
+		prog, err := programFor(bench)
 		if err != nil {
 			e.err = err
 			return
 		}
-		prof, err := pr.Profile(prog, n)
+		prof, err := profilerFor(bench, window).Profile(prog, n)
 		if err != nil {
 			e.err = err
 			return
 		}
-		prof.Apply(prog)
-		e.prog, e.prof = prog, prof
+		e.prog, e.tags, e.bits = prog, prof.Tag, prof.Bits
+		e.aceFrac, e.accuracy = prof.ACEFraction(), prof.Accuracy()
 	})
-	return e.prog, e.prof, e.err
+	return e, e.err
 }
 
 // Run executes one simulation.
@@ -324,14 +365,14 @@ func RunTraced(cfg Config, opt RunOptions) (*Result, *decision.Trace, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		prog, prof, err := taggedProgramFor(b, profLen, c.ProfileWindow)
+		e, err := budgetFor(b, profLen, c.ProfileWindow)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: profiling %s: %w", name, err)
 		}
-		exec := trace.NewExecutor(prog, b.Params.Seed, i)
-		streams[i] = trace.NewStream(exec, prof.Bits)
-		aceFrac += prof.ACEFraction()
-		tagAcc += prof.Accuracy()
+		exec := trace.NewExecutor(e.prog, b.Params.Seed, i)
+		streams[i] = trace.NewStream(exec, e.tags, e.bits)
+		aceFrac += e.aceFrac
+		tagAcc += e.accuracy
 	}
 	aceFrac /= float64(len(c.Benchmarks))
 	tagAcc /= float64(len(c.Benchmarks))
@@ -379,7 +420,6 @@ func RunTraced(cfg Config, opt RunOptions) (*Result, *decision.Trace, error) {
 		InvariantEvery:     c.InvariantEvery,
 		Forced:             opt.Forced,
 		DisableSkipAhead:   opt.DisableSkipAhead,
-		Pool:               opt.Pool,
 	}
 	// Only assign the sink when recording: a nil *Recorder stored in the
 	// interface would read as non-nil inside the pipeline.
@@ -454,9 +494,6 @@ type RunOptions struct {
 	// see pipeline.Params.DisableSkipAhead). Results are identical either
 	// way, which is why it lives here and not in Config.
 	DisableSkipAhead bool
-	// Pool shares a uop free list across strictly sequential runs (a sweep
-	// worker's cells); nil gives the run a private pool. Result-neutral.
-	Pool *uarch.UopPool
 	// SimTime, when non-nil, receives the wall time of the pipeline run
 	// alone — excluding workload synthesis, ACE profiling and processor
 	// construction — so throughput benchmarks can report the core loop's

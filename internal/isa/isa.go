@@ -4,9 +4,11 @@
 // The ISA is deliberately minimal: the simulator is timing- and
 // vulnerability-driven, so instructions carry dataflow (register operands),
 // memory behaviour (access-pattern identifiers resolved by the tracer) and
-// control behaviour (branch targets), but no value semantics. Following the
-// paper, the ISA is extended with a 1-bit ACE-ness tag filled in by offline
-// vulnerability profiling (the paper extends the Alpha ISA the same way).
+// control behaviour (branch targets), but no value semantics. The paper's
+// 1-bit ACE-ness extension (filled in by offline vulnerability profiling) is
+// not part of the instruction image here: it is the profile's per-PC tag
+// table (ace.Profile.Tag), which the oracle stream carries to fetch, so one
+// generated program serves every profile of its benchmark.
 package isa
 
 import "fmt"
@@ -206,11 +208,6 @@ type Inst struct {
 	// BranchPattern selects the tracer's outcome generator for
 	// conditional branches; 0 otherwise.
 	BranchPattern uint32
-
-	// ACETag is the 1-bit ISA extension written by offline
-	// vulnerability profiling: true if any profiled dynamic instance of
-	// this PC was ACE. The issue logic (VISA) reads only this bit.
-	ACETag bool
 }
 
 // HasDest reports whether the instruction writes a register.
@@ -229,9 +226,6 @@ func (in *Inst) String() string {
 	}
 	if in.Kind.IsControl() {
 		s += fmt.Sprintf(" -> %#08x", in.Target)
-	}
-	if in.ACETag {
-		s += " [ACE]"
 	}
 	return s
 }

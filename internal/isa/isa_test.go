@@ -136,9 +136,9 @@ func TestInstHelpers(t *testing.T) {
 }
 
 func TestInstString(t *testing.T) {
-	in := Inst{PC: 0x2000, Kind: Branch, Dest: RegNone, Src1: 7, Src2: RegNone, Target: 0x2100, ACETag: true}
+	in := Inst{PC: 0x2000, Kind: Branch, Dest: RegNone, Src1: 7, Src2: RegNone, Target: 0x2100}
 	s := in.String()
-	for _, want := range []string{"br", "r7", "0x00002100", "[ACE]"} {
+	for _, want := range []string{"br", "r7", "0x00002100"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q missing %q", s, want)
 		}

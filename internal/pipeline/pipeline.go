@@ -13,6 +13,7 @@ package pipeline
 
 import (
 	"fmt"
+	"sync"
 
 	"visasim/internal/avf"
 	"visasim/internal/branch"
@@ -38,7 +39,8 @@ type Params struct {
 	// Controller implements dynamic IQ allocation or DVM; nil runs the
 	// unmanaged machine.
 	Controller Controller
-	// Streams supplies one oracle stream per thread (1..MaxThreads).
+	// Streams supplies one oracle stream per thread (1..MaxThreads). The
+	// processor owns them from New on: Run recycles their buffers.
 	Streams []*trace.Stream
 	// MaxInstructions stops the run once total commits reach it
 	// (counted after warmup).
@@ -78,11 +80,11 @@ type Params struct {
 	// schedule). Results must be identical either way; the parity tests
 	// pin that.
 	DisableSkipAhead bool
-	// Pool, when non-nil, supplies the uop free list, letting sequential
-	// runs (a sweep worker's cells) share one steady-state allocation.
-	// Safe only for strictly sequential runs; nil allocates a private pool.
-	Pool *uarch.UopPool
 }
+
+// wheels recycles completion wheels across simulations, each slot's backing
+// array included. A pooled wheel's slots are empty and hold no pointers.
+var wheels = sync.Pool{New: func() any { return new([wheelSize][]*uarch.Uop) }}
 
 // Processor is the simulated SMT core.
 type Processor struct {
@@ -135,7 +137,7 @@ type Processor struct {
 	sampleCycles   uint64
 	invariantEvery uint64
 
-	wheel    [wheelSize][]*uarch.Uop
+	wheel    *[wheelSize][]*uarch.Uop // from wheels; see recycle
 	flushReq []*uarch.Uop
 
 	// Wheel occupancy index for skip-ahead: one bit per slot (set iff the
@@ -150,8 +152,8 @@ type Processor struct {
 	skippedCycles uint64
 
 	// pool recycles uop allocations; fetch draws from it and commit,
-	// squash and the completion wheel return to it. It may be shared with
-	// other (strictly sequential) runs via Params.Pool.
+	// squash and the completion wheel return to it. It comes from the
+	// process-wide recycler and goes back there when Run ends.
 	pool *uarch.UopPool
 
 	// fetchCands is the fetch stage's reusable priority scratch.
@@ -280,6 +282,7 @@ func New(p Params) (*Processor, error) {
 		robTag:    avf.NewAccumulator(n*m.ROBSize, avf.ROBEntryBits),
 		rfAcc:     avf.NewSpanAccumulator(n*64, avf.RegBits),
 		rqHist:    stats.NewRQHistogram(m.IQSize),
+		wheel:     wheels.Get().(*[wheelSize][]*uarch.Uop),
 	}
 	for i := 0; i < n; i++ {
 		proc.threads = append(proc.threads, &thread{
@@ -306,10 +309,7 @@ func New(p Params) (*Processor, error) {
 	}
 	proc.invariantEvery = p.InvariantEvery
 	proc.recPrevIQLCap = proc.dec.IQLCap
-	proc.pool = p.Pool
-	if proc.pool == nil {
-		proc.pool = &uarch.UopPool{}
-	}
+	proc.pool = uarch.NewUopPool()
 	proc.skipOK = p.Controller == nil && len(p.Forced) == 0 && !p.DisableSkipAhead
 	return proc, nil
 }
@@ -322,7 +322,10 @@ type budget struct {
 }
 
 // Run simulates the warmup followed by the measured region and returns the
-// results.
+// results. It ends the processor's life: the cache line arrays, predictor
+// tables, stream buffers, completion wheel and uops go back to the
+// process-wide recyclers for the next simulation, so the processor (and its
+// streams) must not be used afterwards.
 func (p *Processor) Run() *Results {
 	if p.warmup > 0 {
 		warmupCycleCap := p.cycle + 64*p.warmup
@@ -346,7 +349,37 @@ func (p *Processor) Run() *Results {
 			p.maybeCheckInvariants()
 		}
 	}
-	return p.results()
+	res := p.results()
+	p.recycle()
+	return res
+}
+
+// recycle hands the processor's large buffers to the next simulation in the
+// process (see Run).
+func (p *Processor) recycle() {
+	// Uops still in flight join the free list. Each is held exactly once:
+	// by a fetch queue, by a ROB, or — squashed while executing — by its
+	// completion-wheel entry alone.
+	for i, s := range p.wheel {
+		for _, u := range s {
+			if u.Stage == uarch.StageSquashed {
+				p.pool.Put(u)
+			}
+		}
+		clear(s[:cap(s)])
+		p.wheel[i] = s[:0]
+	}
+	for _, t := range p.threads {
+		t.fq.Drain(p.pool.Put)
+		t.rob.ForEach(p.pool.Put)
+		t.stream.Recycle()
+	}
+	wheels.Put(p.wheel)
+	p.wheel = nil
+	p.mem.Recycle()
+	p.bp.Recycle()
+	p.pool.Recycle()
+	p.pool = nil
 }
 
 // maybeCheckInvariants runs the sampled invariant cross-check configured by

@@ -73,7 +73,7 @@ func (q *fetchQueue) Pop() *uarch.Uop {
 	return u
 }
 
-// Drain empties the queue, invoking f on each uop (squash path).
+// Drain empties the queue, invoking f on each uop.
 func (q *fetchQueue) Drain(f func(*uarch.Uop)) {
 	for q.len > 0 {
 		f(q.Pop())

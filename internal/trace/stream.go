@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+
+	"visasim/internal/recycle"
 )
 
 // BitSet is a compact per-dynamic-instruction boolean store, used to carry
@@ -96,25 +98,46 @@ func (b *BitSet) Count(upto uint64) uint64 {
 // ROB + slack). Power of two for cheap indexing.
 const streamCap = 1024
 
+// rings recycles Stream rings across simulations (see package recycle).
+var rings recycle.Slices[DynInst]
+
 // Stream is a sliding window over a thread's committed dynamic instruction
 // stream. The pipeline's fetch unit addresses it by absolute position; the
-// commit stage releases positions it will never need again. If the profiled
-// ACE bit set is attached, each instruction carries its ground-truth
-// ACE-ness.
+// commit stage releases positions it will never need again. A profiled
+// stream also carries the profile: each instruction's ground-truth ACE-ness
+// and each static instruction's per-PC ACE tag.
 type Stream struct {
 	exec *Executor
+	tags []bool  // per static instruction; nil for an unprofiled run
 	ace  *BitSet // may be nil (unprofiled run)
 
-	buf  [streamCap]DynInst
+	buf  *[streamCap]DynInst
 	next uint64 // absolute index of the first ungenerated position
 	low  uint64 // lowest position still addressable
 }
 
-// NewStream wraps exec. ace, if non-nil, supplies ground-truth ACE bits by
-// sequence number; positions beyond its length default to un-ACE.
-func NewStream(exec *Executor, ace *BitSet) *Stream {
-	return &Stream{exec: exec, ace: ace}
+// NewStream wraps exec with a profile of its program. tags, if non-nil,
+// holds the per-static-instruction ACE tags the VISA issue logic reads (the
+// paper's 1-bit ISA extension; ace.Profile.Tag), indexed like the program's
+// instructions. ace, if non-nil, supplies ground-truth ACE bits by sequence
+// number (ace.Profile.Bits); positions beyond its length default to un-ACE.
+// Both are only read, so one profile may back any number of streams. The
+// stream's ring comes from a process-wide recycler; Recycle hands it back.
+func NewStream(exec *Executor, tags []bool, ace *BitSet) *Stream {
+	if tags != nil && len(tags) != exec.Prog.Len() {
+		panic(fmt.Sprintf("trace: %d ACE tags for %s's %d static instructions", len(tags), exec.Prog.Name, exec.Prog.Len()))
+	}
+	return &Stream{
+		exec: exec,
+		tags: tags,
+		ace:  ace,
+		buf:  (*[streamCap]DynInst)(rings.Get(streamCap)),
+	}
 }
+
+// Tag returns the profiled ACE tag of static instruction i (false for an
+// unprofiled stream).
+func (s *Stream) Tag(i int) bool { return s.tags != nil && s.tags[i] }
 
 // At returns the dynamic instruction at absolute position pos, generating
 // forward as needed. Positions below the released low-water mark panic:
@@ -142,6 +165,15 @@ func (s *Stream) Release(pos uint64) {
 	if pos > s.low {
 		s.low = pos
 	}
+}
+
+// Recycle hands the stream's ring and its executor's state to the next
+// simulation in the process (see Executor.Recycle). The stream must not be
+// used afterwards.
+func (s *Stream) Recycle() {
+	rings.Put(s.buf[:])
+	s.buf = nil
+	s.exec.Recycle()
 }
 
 // Executor exposes the underlying executor (for wrong-path address

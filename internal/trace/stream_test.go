@@ -106,7 +106,7 @@ func TestQuickBitSetCount(t *testing.T) {
 
 func TestStreamWindow(t *testing.T) {
 	prog := testProgram(10)
-	s := NewStream(NewExecutor(prog, 1, 0), nil)
+	s := NewStream(NewExecutor(prog, 1, 0), nil, nil)
 
 	d0 := *s.At(0)
 	if s.At(0).Seq != 0 || s.At(5).Seq != 5 {
@@ -131,7 +131,7 @@ func TestStreamWindow(t *testing.T) {
 
 func TestStreamOverflowPanics(t *testing.T) {
 	prog := testProgram(11)
-	s := NewStream(NewExecutor(prog, 1, 0), nil)
+	s := NewStream(NewExecutor(prog, 1, 0), nil, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("window overflow must panic")
@@ -145,7 +145,7 @@ func TestStreamCarriesACEBits(t *testing.T) {
 	ace := NewBitSet(100)
 	ace.Set(4, true)
 	ace.Set(7, true)
-	s := NewStream(NewExecutor(prog, 1, 0), ace)
+	s := NewStream(NewExecutor(prog, 1, 0), nil, ace)
 	for i := uint64(0); i < 100; i++ {
 		want := i == 4 || i == 7
 		if got := s.At(i).ACE; got != want {
@@ -161,7 +161,7 @@ func TestStreamCarriesACEBits(t *testing.T) {
 
 func TestStreamMatchesExecutor(t *testing.T) {
 	prog := testProgram(13)
-	s := NewStream(NewExecutor(prog, 9, 0), nil)
+	s := NewStream(NewExecutor(prog, 9, 0), nil, nil)
 	ref := NewExecutor(prog, 9, 0)
 	var d DynInst
 	for i := uint64(0); i < 5000; i++ {
@@ -174,5 +174,49 @@ func TestStreamMatchesExecutor(t *testing.T) {
 		if i > 64 {
 			s.Release(i - 64)
 		}
+	}
+}
+
+func TestStreamCarriesTags(t *testing.T) {
+	prog := testProgram(14)
+	tags := make([]bool, prog.Len())
+	for i := range tags {
+		tags[i] = i%3 == 0
+	}
+	s := NewStream(NewExecutor(prog, 1, 0), tags, nil)
+	for i := range tags {
+		if s.Tag(i) != tags[i] {
+			t.Fatalf("Tag(%d) = %v, want %v", i, s.Tag(i), tags[i])
+		}
+	}
+	if NewStream(NewExecutor(prog, 1, 0), nil, nil).Tag(0) {
+		t.Fatal("an unprofiled stream reports an ACE tag")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a tag table of the wrong length must panic")
+		}
+	}()
+	NewStream(NewExecutor(prog, 1, 0), tags[1:], nil)
+}
+
+// TestRecycledStreamMatchesFresh runs a stream far enough to dirty its ring
+// and its executor's loop and cursor state, recycles it, and checks that
+// streams built afterwards (drawing the recycled buffers) replay the program
+// exactly as a fresh executor does.
+func TestRecycledStreamMatchesFresh(t *testing.T) {
+	prog := testProgram(15)
+	for round := 0; round < 3; round++ {
+		s := NewStream(NewExecutor(prog, 5, 1), nil, nil)
+		ref := NewExecutor(prog, 5, 1)
+		var d DynInst
+		for i := uint64(0); i < 3000; i++ {
+			ref.Next(&d)
+			if got := *s.At(i); got != d {
+				t.Fatalf("round %d position %d: %+v vs %+v", round, i, got, d)
+			}
+			s.Release(i)
+		}
+		s.Recycle()
 	}
 }

@@ -12,6 +12,7 @@ package trace
 import (
 	"visasim/internal/isa"
 	"visasim/internal/program"
+	"visasim/internal/recycle"
 	"visasim/internal/rng"
 )
 
@@ -62,9 +63,17 @@ type loopState struct {
 	remaining int // back-edge takens left before exit; -1 = draw on entry
 }
 
+// loopStates and cursors recycle executor state across simulations (see
+// package recycle).
+var (
+	loopStates recycle.Slices[loopState]
+	cursors    recycle.Slices[uint64]
+)
+
 // NewExecutor returns an executor over prog. Streams from different seeds
 // share the program's control structure but differ in conditional outcomes
-// and random-access addresses. thread tags the address space.
+// and random-access addresses. thread tags the address space. The executor
+// only reads prog, so one program may back any number of executors.
 func NewExecutor(prog *program.Program, seed uint64, thread int) *Executor {
 	e := &Executor{
 		Prog:     prog,
@@ -72,14 +81,22 @@ func NewExecutor(prog *program.Program, seed uint64, thread int) *Executor {
 		outcomes: rng.New(rng.Hash64(seed, 0x6f75)),
 		addrs:    rng.New(rng.Hash64(seed, 0x6164)),
 		wrong:    rng.New(rng.Hash64(seed, 0x7770)),
-		branch:   make([]loopState, len(prog.Branches)),
-		cursor:   make([]uint64, prog.Len()),
+		branch:   loopStates.Get(len(prog.Branches)),
+		cursor:   cursors.Get(prog.Len()),
 		addrTag:  uint64(thread) << 40,
 	}
 	for i := range e.branch {
 		e.branch[i].remaining = -1
 	}
 	return e
+}
+
+// Recycle hands the executor's per-static-instruction state to the next
+// executor in the process. The executor must not be used afterwards.
+func (e *Executor) Recycle() {
+	loopStates.Put(e.branch)
+	cursors.Put(e.cursor)
+	e.branch, e.cursor = nil, nil
 }
 
 // Next fills out with the next committed instruction and advances the

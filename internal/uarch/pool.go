@@ -1,5 +1,7 @@
 package uarch
 
+import "sync"
+
 // UopPool is a free list of Uop allocations. The pipeline allocates several
 // uops per simulated cycle; recycling them caps steady-state allocation at
 // the in-flight population (machine size) instead of growing with simulated
@@ -12,9 +14,25 @@ package uarch
 // their completion-wheel slot fires. References that can survive past that
 // point (a producer's dependents list) carry the generation stamp DepRef
 // checks against.
+//
+// Pools are recycled process-wide: a processor takes one with NewUopPool
+// when it is built and, once every uop it allocated is back in the free
+// list, hands it back with Recycle when its run ends, so every simulation
+// after the first starts with a warm free list.
 type UopPool struct {
 	free []*Uop
 }
+
+// uopPools holds the free lists of finished simulations.
+var uopPools = sync.Pool{New: func() any { return new(UopPool) }}
+
+// NewUopPool returns a uop free list, recycled from a finished simulation
+// when one is available. The caller owns it until Recycle.
+func NewUopPool() *UopPool { return uopPools.Get().(*UopPool) }
+
+// Recycle hands p, with its free uops, to a later NewUopPool caller. The
+// caller must not use p, or any uop it Put, afterwards.
+func (p *UopPool) Recycle() { uopPools.Put(p) }
 
 // Get returns a fresh uop: zeroed fields, queue slots unset, generation
 // advanced past any previous life.
@@ -34,6 +52,3 @@ func (p *UopPool) Put(u *Uop) {
 	u.Reset()
 	p.free = append(p.free, u)
 }
-
-// Len returns the number of pooled free uops (testing aid).
-func (p *UopPool) Len() int { return len(p.free) }
